@@ -20,10 +20,13 @@ import (
 	"papyrus/internal/core"
 	"papyrus/internal/history"
 	"papyrus/internal/infer"
+	"papyrus/internal/memo"
+	"papyrus/internal/obs"
 	"papyrus/internal/oct"
 	"papyrus/internal/reclaim"
 	"papyrus/internal/tcl"
 	"papyrus/internal/viewport"
+	"papyrus/internal/workload"
 )
 
 func mustSystem(b *testing.B, cfg core.Config) *core.System {
@@ -242,6 +245,60 @@ func BenchmarkBatchPipeline(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkReplayChainHit — history-based redo avoidance (docs/CACHING.md):
+// one op reworks a thread to its start and replays a recorded 6-deep
+// WLChain whose every step is a memo hit, so it measures the engine's own
+// per-replay cost (key derivation, lookup, materialization, history) with
+// no tool body run. Each hit hands its payload's digest to the version it
+// materializes, so the next step's key derivation does not re-encode it.
+// Replays run in episodes of 32 on a fresh system, set up off the clock:
+// inference and history costs grow with a thread's depth, and an
+// unbounded thread would measure that growth instead.
+func BenchmarkReplayChainHit(b *testing.B) {
+	const episode = 32
+	w, err := workload.Generate(workload.Spec{Profile: "replay", Fanout: 4, Depth: 6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := oct.Text(logic.GenBehavior(logic.GenConfig{Seed: 1, Inputs: 6, Outputs: 4, Depth: 4}))
+	var (
+		sys   *core.System
+		th    *activity.Thread
+		chain *history.Record
+		reg   *obs.Registry
+		hits  int64
+	)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%episode == 0 {
+			b.StopTimer()
+			if reg != nil {
+				hits += reg.Counter("memo.hit")
+			}
+			reg = obs.NewRegistry()
+			sys = mustSystem(b, core.Config{ExtraTemplates: w.Templates, Memo: memo.NewCache(), Metrics: reg})
+			th = sys.NewThread("d0", "bench")
+			if _, err := sys.ImportObject("/spec", oct.TypeBehavioral, spec); err != nil {
+				b.Fatal(err)
+			}
+			if chain, err = sys.Invoke(th, "WLChain", map[string]string{"A": "/spec"}, map[string]string{"Out": "/chain"}); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if err := th.MoveCursor(nil); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sys.Activity.ReplayRecord(th, chain); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if hits += reg.Counter("memo.hit"); hits != int64(6*b.N) {
+		b.Fatalf("memo.hit = %d over %d replays, want every step a hit", hits, b.N)
 	}
 }
 

@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"strings"
 	"testing"
 
 	"papyrus/internal/oct"
@@ -80,5 +81,49 @@ func TestInvalidateSharedToken(t *testing.T) {
 	}
 	if st := c.Snapshot(); st.BytesStored != 0 {
 		t.Errorf("BytesStored = %d after dropping every entry, want 0", st.BytesStored)
+	}
+}
+
+// TestInvalidateAdoptedDigest: a version handed a cached output's digest
+// by a hit but never used as a key input contributes no "content:" token,
+// so Invalidate drops exactly the entries it drops without the hand-off —
+// and forgets the adopted digest, like a memoized one.
+func TestInvalidateAdoptedDigest(t *testing.T) {
+	build := func(adopt bool) (*Cache, oct.Ref) {
+		c := NewCache()
+		// An entry pinned by the content token of an intermediate whose
+		// payload equals the cached output below.
+		peer := &oct.Object{Name: "m1#3", Version: 1, Type: oct.TypeText, Data: oct.Text("mid")}
+		tok := c.InputID(peer).Version
+		if !strings.HasPrefix(tok, "content:") {
+			t.Fatalf("peer token %q is not a content token", tok)
+		}
+		if !c.PopulateTracked("kContent", trackedEntry(), []string{tok}) {
+			t.Fatal("content entry rejected")
+		}
+		src := &Entry{Outputs: []Output{{Name: "m1", Type: oct.TypeText, Data: oct.Text("mid")}}}
+		if !c.PopulateTracked("kSource", src, []string{"/s@1"}) {
+			t.Fatal("source entry rejected")
+		}
+		ref := oct.Ref{Name: "m1#7", Version: 2}
+		if adopt {
+			c.Adopt(ref, src.Output("m1"))
+		}
+		return c, ref
+	}
+	ref, _ := build(false)
+	got, r := build(true)
+	want := ref.Invalidate([]oct.Ref{r})
+	if removed := got.Invalidate([]oct.Ref{r}); removed != want {
+		t.Fatalf("Invalidate of an adopted, never-keyed version removed %d entries, want %d", removed, want)
+	}
+	if got.Len() != ref.Len() {
+		t.Errorf("Len = %d after Invalidate, want %d", got.Len(), ref.Len())
+	}
+	got.mu.RLock()
+	_, kept := got.adopted[r.String()]
+	got.mu.RUnlock()
+	if kept {
+		t.Error("Invalidate kept the reclaimed version's adopted digest")
 	}
 }

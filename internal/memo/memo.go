@@ -36,12 +36,44 @@ type Output struct {
 	Name string
 	Type oct.Type
 	Data oct.Value
+
+	// digest is the payload's content digest, shared by every copy of the
+	// Output and computed at most once. PopulateTracked installs it, so
+	// every output of a cached entry has one.
+	digest *lazyDigest
+}
+
+type lazyDigest struct {
+	once sync.Once
+	sum  string
+}
+
+// contentDigest returns the digest InputID derives for a version holding
+// this payload: the same bytes, computed at most once per cached entry
+// however many versions are materialized from it.
+func (o *Output) contentDigest() string {
+	if o.digest == nil {
+		return digestOf(o.Type, o.Data)
+	}
+	o.digest.once.Do(func() { o.digest.sum = digestOf(o.Type, o.Data) })
+	return o.digest.sum
 }
 
 // Entry is the cached result of one clean step completion.
 type Entry struct {
 	Outputs []Output
 	Log     string
+}
+
+// Output returns the cached output with the given normalized name, or nil.
+// Entries hold a handful of outputs, so a scan beats building an index.
+func (e *Entry) Output(name string) *Output {
+	for i := range e.Outputs {
+		if e.Outputs[i].Name == name {
+			return &e.Outputs[i]
+		}
+	}
+	return nil
 }
 
 func (e *Entry) bytes() int64 {
@@ -69,6 +101,13 @@ type Cache struct {
 	entries map[string]*Entry
 	digests map[string]string // "name@version" -> content digest (immutable)
 
+	// adopted maps a version a hit materialized to the cached output it
+	// was materialized from, until the version's first InputID promotes
+	// the output's digest into digests. It is kept apart from digests so
+	// that a handed-over digest never used as a key input never becomes a
+	// "content:" token of Invalidate; Invalidate clears it like digests.
+	adopted map[string]*Output
+
 	// byToken / keyTokens are the reclamation reverse index: every entry
 	// is registered under the identity tokens of the versions it depends
 	// on (input InputID.Version strings plus output "name@version" refs),
@@ -87,23 +126,44 @@ func NewCache() *Cache {
 	return &Cache{
 		entries:   make(map[string]*Entry),
 		digests:   make(map[string]string),
+		adopted:   make(map[string]*Output),
 		byToken:   make(map[string]map[string]struct{}),
 		keyTokens: make(map[string][]string),
 	}
 }
 
-// Lookup returns the entry for key, counting a hit or miss.
+// Lookup returns the entry for key, counting a miss when it is absent. A
+// found entry is not yet a hit: the caller counts it with Hit once its
+// payloads are materialized, or with Miss when it cannot use the entry,
+// so Snapshot agrees with what the caller reports.
 func (c *Cache) Lookup(key string) (*Entry, bool) {
 	c.mu.RLock()
 	e, ok := c.entries[key]
 	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		c.served.Add(e.bytes())
-		return e, true
+	if !ok {
+		c.misses.Add(1)
 	}
-	c.misses.Add(1)
-	return nil, false
+	return e, ok
+}
+
+// Hit counts a found entry whose payloads were materialized.
+func (c *Cache) Hit(e *Entry) {
+	c.hits.Add(1)
+	c.served.Add(e.bytes())
+}
+
+// Miss counts a found entry the caller could not materialize.
+func (c *Cache) Miss() { c.misses.Add(1) }
+
+// Adopt records that ref was materialized from the cached out, so the
+// first InputID over ref takes out's digest instead of encoding and
+// hashing the payload again. The task manager calls it for every output
+// a hit commits.
+func (c *Cache) Adopt(ref oct.Ref, out *Output) {
+	name := ref.String()
+	c.mu.Lock()
+	c.adopted[name] = out
+	c.mu.Unlock()
 }
 
 // Populate inserts the entry for key. First writer wins: concurrent
@@ -130,6 +190,11 @@ func (c *Cache) PopulateTracked(key string, e *Entry, tokens []string) bool {
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; ok {
 		return false
+	}
+	for i := range e.Outputs {
+		if e.Outputs[i].digest == nil {
+			e.Outputs[i].digest = new(lazyDigest)
+		}
 	}
 	c.entries[key] = e
 	c.stored.Add(e.bytes())
@@ -173,11 +238,13 @@ func (c *Cache) dropKeyLocked(key string) bool {
 // Invalidate drops every entry registered under any identity token of
 // the given physically reclaimed versions — the plain "name@version"
 // ref, the "opaque:" form, and the "content:" digest form if the
-// content was ever digested — and forgets the versions' memoized
-// digests. Called by the reclaimer at sweep time (docs/RECLAIM.md);
-// returns the number of entries removed. Conservative by design: a
-// content-pinned entry shared with a still-live identical version is
-// dropped too, and simply repopulates on the next clean run.
+// content was ever digested by InputID — and forgets the versions'
+// memoized and adopted digests. Called by the reclaimer at sweep time
+// (docs/RECLAIM.md); returns the number of entries removed. A digest a
+// hit handed over but no key ever used adds no "content:" token.
+// Conservative by design: a content-pinned entry shared with a
+// still-live identical version is dropped too, and simply repopulates on
+// the next clean run.
 func (c *Cache) Invalidate(refs []oct.Ref) int {
 	if len(refs) == 0 {
 		return 0
@@ -192,6 +259,7 @@ func (c *Cache) Invalidate(refs []oct.Ref) int {
 			tokens = append(tokens, "content:"+d)
 		}
 		delete(c.digests, name)
+		delete(c.adopted, name)
 		for _, tok := range tokens {
 			set := c.byToken[tok]
 			if set == nil {
@@ -232,25 +300,44 @@ func (c *Cache) Snapshot() Stats {
 	}
 }
 
+// digestOf is the content digest of a payload: SHA-256 over its type and
+// codec bytes, or "" when the type has no codec.
+func digestOf(t oct.Type, v oct.Value) string {
+	raw, err := oct.EncodeValue(t, v)
+	if err != nil {
+		return ""
+	}
+	h := sha256.New()
+	h.Write([]byte(t))
+	h.Write([]byte{0})
+	h.Write(raw)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // InputID derives the key component for one resolved input object,
-// memoizing content digests per immutable name@version pair.
+// memoizing content digests per immutable name@version pair. A version a
+// hit materialized takes the digest of the cached output it came from
+// (Adopt), so each cached payload is encoded at most once per cache.
 func (c *Cache) InputID(obj *oct.Object) InputID {
 	ref := oct.Ref{Name: obj.Name, Version: obj.Version}.String()
 	normalized := NormalizeName(obj.Name)
 
 	c.mu.RLock()
 	digest, ok := c.digests[ref]
+	var from *Output
+	if !ok {
+		from = c.adopted[ref]
+	}
 	c.mu.RUnlock()
 	if !ok {
-		if raw, err := oct.EncodeValue(obj.Type, obj.Data); err == nil {
-			h := sha256.New()
-			h.Write([]byte(obj.Type))
-			h.Write([]byte{0})
-			h.Write(raw)
-			digest = hex.EncodeToString(h.Sum(nil))
+		if from != nil {
+			digest = from.contentDigest()
+		} else {
+			digest = digestOf(obj.Type, obj.Data)
 		}
 		c.mu.Lock()
 		c.digests[ref] = digest
+		delete(c.adopted, ref)
 		c.mu.Unlock()
 	}
 

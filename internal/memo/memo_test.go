@@ -104,6 +104,11 @@ func TestCacheLookupPopulate(t *testing.T) {
 	if !ok || got.Log != "ran" || got.Outputs[0].Data.(oct.Text) != "payload" {
 		t.Fatalf("Lookup returned %+v, %v", got, ok)
 	}
+	// A found entry counts as a hit only once the caller served it.
+	if st := c.Snapshot(); st.Hits != 0 || st.BytesServed != 0 {
+		t.Fatalf("Lookup alone counted a hit: %+v", st)
+	}
+	c.Hit(got)
 	st := c.Snapshot()
 	want := Stats{Entries: 1, Hits: 1, Misses: 1, BytesStored: 7, BytesServed: 7}
 	if st != want {
@@ -206,5 +211,81 @@ func TestCacheConcurrency(t *testing.T) {
 	wg.Wait()
 	if c.Len() != 37 {
 		t.Fatalf("Len = %d, want 37", c.Len())
+	}
+}
+
+// TestAdoptDigest: InputID over a version adopted from a cached output
+// yields exactly the ID that encoding its payload does, computes the
+// output's digest at most once, and promotes it into the digest memo.
+func TestAdoptDigest(t *testing.T) {
+	c := NewCache()
+	e := &Entry{Outputs: []Output{{Name: "m1", Type: oct.TypeText, Data: oct.Text("mid")}}}
+	if !c.Populate("k", e) {
+		t.Fatal("entry rejected")
+	}
+	out := e.Output("m1")
+	if out == nil || e.Output("m2") != nil {
+		t.Fatal("Entry.Output lookup by name failed")
+	}
+	for _, v := range []int{1, 2} {
+		obj := &oct.Object{Name: "m1#9", Version: v, Type: out.Type, Data: out.Data}
+		c.Adopt(oct.Ref{Name: obj.Name, Version: obj.Version}, out)
+		want := NewCache().InputID(obj)
+		if got := c.InputID(obj); got != want {
+			t.Fatalf("adopted InputID = %+v, want %+v", got, want)
+		}
+	}
+	if out.digest.sum == "" {
+		t.Error("adopted output's digest was not computed")
+	}
+	c.mu.RLock()
+	adopted, digests := len(c.adopted), len(c.digests)
+	c.mu.RUnlock()
+	if adopted != 0 || digests != 2 {
+		t.Errorf("after keying: %d adopted, %d digests; want 0 and 2", adopted, digests)
+	}
+}
+
+// TestAdoptConcurrent: many workers materialize versions from one cached
+// output and key them at once; the shared digest is computed once and
+// every InputID agrees with the encode path (run under -race).
+func TestAdoptConcurrent(t *testing.T) {
+	c := NewCache()
+	e := &Entry{Outputs: []Output{{Name: "m1", Type: oct.TypeText, Data: oct.Text("shared")}}}
+	if !c.Populate("k", e) {
+		t.Fatal("entry rejected")
+	}
+	want := NewCache().InputID(&oct.Object{Name: "m1#1", Version: 1, Type: oct.TypeText, Data: oct.Text("shared")})
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				got, ok := c.Lookup("k")
+				if !ok {
+					errs <- "entry vanished"
+					return
+				}
+				out := got.Output("m1")
+				ref := oct.Ref{Name: fmt.Sprintf("m1#%d", g), Version: i + 1}
+				c.Adopt(ref, out)
+				c.Hit(got)
+				id := c.InputID(&oct.Object{Name: ref.Name, Version: ref.Version, Type: out.Type, Data: out.Data})
+				if id.Version != want.Version || id.Digest != want.Digest {
+					errs <- fmt.Sprintf("InputID %+v, want %+v", id, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
+	}
+	if st := c.Snapshot(); st.Hits != 800 {
+		t.Errorf("Hits = %d, want 800", st.Hits)
 	}
 }

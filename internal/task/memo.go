@@ -49,11 +49,18 @@ func (r *run) memoKeyFor(p *pending) string {
 	return key.Sum()
 }
 
+// memoHandoff lets a hit hand each cached output's content digest to the
+// version it materializes (memo.Cache.Adopt). Tests switch it off to
+// compare against the encode-every-input reference path.
+var memoHandoff = true
+
 // tryMemoHit checks the cache for p and, on a hit, commits the cached
 // payloads and completes the step in place. Returns true when the step
 // was fully applied and must not be dispatched. A materialization failure
 // (e.g. a WAL append error) falls back to the normal issue path so the
-// error surfaces through the machinery that already handles it.
+// error surfaces through the machinery that already handles it. The cache
+// and the registry count the same outcome: a found entry that cannot be
+// materialized is a miss in both.
 func (r *run) tryMemoHit(p *pending) bool {
 	cache := r.m.cfg.Memo
 	if cache == nil {
@@ -68,36 +75,13 @@ func (r *run) tryMemoHit(p *pending) bool {
 		r.m.cfg.Metrics.Inc("memo.miss")
 		return false
 	}
-	if len(e.Outputs) != len(p.outputs) {
+	objs, served, ok := r.materializeHit(p, e)
+	if !ok {
+		cache.Miss()
 		r.m.cfg.Metrics.Inc("memo.miss")
 		return false
 	}
-	byName := make(map[string]memo.Output, len(e.Outputs))
-	for _, out := range e.Outputs {
-		byName[out.Name] = out
-	}
-
-	txn := r.m.cfg.Store.Begin()
-	var served int64
-	for _, phys := range p.outputs {
-		out, ok := byName[memo.NormalizeName(phys)]
-		if !ok {
-			txn.Abort()
-			r.m.cfg.Metrics.Inc("memo.miss")
-			return false
-		}
-		if _, err := txn.Put(phys, out.Type, out.Data, p.tool.Name); err != nil {
-			txn.Abort()
-			r.m.cfg.Metrics.Inc("memo.miss")
-			return false
-		}
-		served += int64(out.Data.Size())
-	}
-	objs, err := txn.Commit()
-	if err != nil {
-		r.m.cfg.Metrics.Inc("memo.miss")
-		return false
-	}
+	cache.Hit(e)
 
 	now := r.m.cfg.Cluster.Now()
 	p.startedAt = now
@@ -154,6 +138,43 @@ func (r *run) tryMemoHit(p *pending) bool {
 
 	r.activateSuspended()
 	return true
+}
+
+// materializeHit commits e's payloads under p's physical output names in
+// one transaction and hands each cached output's digest to the version it
+// became. It reports false, with nothing committed, when e does not match
+// p's outputs or the commit fails.
+func (r *run) materializeHit(p *pending, e *memo.Entry) ([]*oct.Object, int64, bool) {
+	if len(e.Outputs) != len(p.outputs) {
+		return nil, 0, false
+	}
+	outs := make([]*memo.Output, 0, 4)
+	txn := r.m.cfg.Store.Begin()
+	var served int64
+	for _, phys := range p.outputs {
+		out := e.Output(memo.NormalizeName(phys))
+		if out == nil {
+			txn.Abort()
+			return nil, 0, false
+		}
+		if _, err := txn.Put(phys, out.Type, out.Data, p.tool.Name); err != nil {
+			txn.Abort()
+			return nil, 0, false
+		}
+		outs = append(outs, out)
+		served += int64(out.Data.Size())
+	}
+	objs, err := txn.Commit()
+	if err != nil {
+		return nil, 0, false
+	}
+	if memoHandoff {
+		// Commit returns the objects in Put order.
+		for i, obj := range objs {
+			r.m.cfg.Memo.Adopt(oct.Ref{Name: obj.Name, Version: obj.Version}, outs[i])
+		}
+	}
+	return objs, served, true
 }
 
 // populateMemo caches a cleanly completed step's outputs. Only apply's
