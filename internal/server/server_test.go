@@ -439,14 +439,17 @@ func TestServerSweepReclaims(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// Measure before the erasing rework: the background loop may sweep
+	// the erased version before SweepShards does, and either sweep must
+	// bring the live bytes below this mark.
+	before := srv.ShardSystem(0).Store.TotalBytes()
 	if _, err := cl.Rework(info.ID, server.ReworkRequest{Record: first.ID, Erase: true}); err != nil {
 		t.Fatal(err)
 	}
 
-	before := srv.ShardSystem(0).Store.TotalBytes()
 	srv.SweepShards()
 	if got := srv.ShardSystem(0).Store.TotalBytes(); got >= before {
-		t.Errorf("sweep left live bytes at %d (was %d before)", got, before)
+		t.Errorf("sweep left live bytes at %d (was %d before the erasing rework)", got, before)
 	}
 	if n := reg.Counter("server.reclaim.versions"); n < 1 {
 		t.Errorf("server.reclaim.versions = %d, want >= 1", n)

@@ -169,10 +169,17 @@ type Invocation struct {
 	OnRestart func(attempt int, inv *Invocation)
 }
 
-// Manager instantiates design tasks.
+// Manager instantiates design tasks. Like nextID, the compiled-template
+// cache assumes one caller at a time; the compiled templates themselves
+// are immutable and shared by every run.
 type Manager struct {
 	cfg    Config
 	nextID int
+	// compiled holds each task's compiled template by task name. An
+	// entry serves only while Config.Templates returns the text it was
+	// compiled from, so an edited template recompiles on its next use
+	// (§4.1: templates change without touching the design database).
+	compiled map[string]*tdl.Compiled
 }
 
 // New returns a Manager.
@@ -187,7 +194,23 @@ func New(cfg Config) (*Manager, error) {
 		cfg.Workers = DefaultWorkers
 	}
 	cfg.Metrics.SetBuckets("task.worker.batch.steps", []int64{1, 2, 4, 8, 16, 32, 64})
-	return &Manager{cfg: cfg, nextID: cfg.InstanceBase}, nil
+	return &Manager{cfg: cfg, nextID: cfg.InstanceBase, compiled: map[string]*tdl.Compiled{}}, nil
+}
+
+// template returns the compiled template of task name for its current
+// text, compiling it on first use and again whenever the text changed.
+// Config.Templates hands back the same string for an unchanged template,
+// so the comparison is a pointer check.
+func (m *Manager) template(name, text string) (*tdl.Compiled, error) {
+	if c := m.compiled[name]; c != nil && c.Text == text {
+		return c, nil
+	}
+	c, err := tdl.Compile(text)
+	if err != nil {
+		return nil, err
+	}
+	m.compiled[name] = c
+	return c, nil
 }
 
 // RunTask instantiates a template and runs it to commit, returning the
@@ -202,17 +225,18 @@ func (m *Manager) RunTask(inv Invocation) (*history.Record, error) {
 // TemplateIO returns a task template's formal input and output names in
 // declaration order. The activity manager's replay surface uses it to
 // rebind a history record's recorded actual refs to the template formals
-// (records store actuals sorted by formal name; see run.execute).
+// (records store actuals sorted by formal name; see run.execute). The
+// slices belong to the compiled template: callers must not modify them.
 func (m *Manager) TemplateIO(name string) (inputs, outputs []string, err error) {
 	script, err := m.cfg.Templates(name)
 	if err != nil {
 		return nil, nil, fmt.Errorf("task: template %q: %v", name, err)
 	}
-	tpl, err := tdl.Parse(script)
+	tpl, err := m.template(name, script)
 	if err != nil {
 		return nil, nil, err
 	}
-	return append([]string(nil), tpl.Inputs...), append([]string(nil), tpl.Outputs...), nil
+	return tpl.Inputs[:len(tpl.Inputs):len(tpl.Inputs)], tpl.Outputs[:len(tpl.Outputs):len(tpl.Outputs)], nil
 }
 
 // errTaskAbort marks a whole-task abort.
@@ -272,10 +296,10 @@ type run struct {
 	inv Invocation
 	id  int
 
-	interp   *tcl.Interp
-	commands []string
-	cmdIdx   int
-	scopes   []scope
+	interp *tcl.Interp
+	tpl    *tdl.Compiled
+	cmdIdx int
+	scopes []scope
 
 	// Result list: physical name -> resolved ref of the produced version.
 	ready map[string]oct.Ref
@@ -292,8 +316,9 @@ type run struct {
 	// resumedSpecs maps a step's prefixed ID (or name for unnumbered
 	// steps) to its declared resumed step ID.
 	resumedSpecs map[string]string
-	// stepNames maps prefixed step IDs to step names for abort-by-name.
-	stepNames map[string]string
+	// named lists the live numbered steps in registration order, for
+	// abort-by-name; undoAfter drops the entries it rewinds.
+	named []namedStep
 	// created tracks objects written per internal ID, for abort removal.
 	created []createdObj
 	// intermediates marks physical names to discard at commit.
@@ -320,6 +345,13 @@ type run struct {
 	pool *workPool
 }
 
+// namedStep is one registered numbered step, for abort-by-name.
+type namedStep struct {
+	name       string
+	stepID     string // prefixed
+	internalID int
+}
+
 type createdObj struct {
 	ref        oct.Ref
 	internalID int
@@ -335,14 +367,14 @@ func (r *run) execute() (*history.Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("task: template %q: %v", r.inv.Task, err)
 	}
-	tpl, err := tdl.Parse(script)
+	tpl, err := r.m.template(r.inv.Task, script)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.checkBindings(tpl); err != nil {
+	if err := r.checkBindings(tpl.Template); err != nil {
 		return nil, err
 	}
-	r.commands = tpl.Commands
+	r.tpl = tpl
 	r.ready = make(map[string]oct.Ref)
 	r.producer = make(map[string]int)
 	r.active = make(map[sprite.PID]*pending)
@@ -461,19 +493,9 @@ func (r *run) checkBindings(tpl *tdl.Template) error {
 // a restart rewinds idx to the command after the resumed step's (§4.3.4).
 func (r *run) interpret(start int) error {
 	idx := start
-	for idx < len(r.commands) {
+	for idx < len(r.tpl.Scripts) {
 		r.cmdIdx = idx
-		raw := r.commands[idx]
-		if tdl.StatusBarrier(raw) {
-			if err := r.drain(); err != nil {
-				if next, ok := r.handleRestart(err); ok {
-					idx = next
-					continue
-				}
-				return err
-			}
-		}
-		if _, err := r.interp.Eval(raw); err != nil {
+		if err := r.evalCommand(r.tpl, idx); err != nil {
 			if next, ok := r.handleRestart(err); ok {
 				idx = next
 				continue
@@ -489,6 +511,19 @@ func (r *run) interpret(start int) error {
 		return err
 	}
 	return nil
+}
+
+// evalCommand interprets body command i of tpl. A command that consults
+// $status or an attribute first drains the outstanding steps (§4.2.3,
+// §4.3.6).
+func (r *run) evalCommand(tpl *tdl.Compiled, i int) error {
+	if tpl.Barrier[i] {
+		if err := r.drain(); err != nil {
+			return err
+		}
+	}
+	_, err := r.interp.EvalScript(tpl.Scripts[i])
+	return err
 }
 
 // handleRestart applies programmable-abort semantics when err carries a
@@ -610,6 +645,13 @@ func (r *run) undoAfter(j int) {
 			delete(r.completed, stepID)
 		}
 	}
+	keptNamed := r.named[:0]
+	for _, n := range r.named {
+		if n.internalID <= j {
+			keptNamed = append(keptNamed, n)
+		}
+	}
+	r.named = keptNamed
 	keptDone := r.done[:0]
 	for _, d := range r.done {
 		if d.internalID <= j {

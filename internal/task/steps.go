@@ -68,11 +68,13 @@ func (r *run) resumedOf(stepID string) (string, bool) {
 	return spec, ok
 }
 
-// stepIDByName finds a registered step's prefixed ID by its name.
+// stepIDByName finds a registered step's prefixed ID by its name. When
+// several live steps share the name (one subtask template expanded twice),
+// the most recently registered one wins.
 func (r *run) stepIDByName(name string) (string, bool) {
-	for id, n := range r.stepNames {
-		if n == name {
-			return id, true
+	for i := len(r.named) - 1; i >= 0; i-- {
+		if r.named[i].name == name {
+			return r.named[i].stepID, true
 		}
 	}
 	return "", false
@@ -137,7 +139,6 @@ func (r *run) isIntermediate(phys string) bool {
 func (r *run) registerStep(spec *tdl.StepSpec) error {
 	if r.resumedSpecs == nil {
 		r.resumedSpecs = map[string]string{}
-		r.stepNames = map[string]string{}
 	}
 	var ioNames []string
 	ioNames = append(ioNames, spec.Inputs...)
@@ -155,15 +156,13 @@ func (r *run) registerStep(spec *tdl.StepSpec) error {
 	}
 
 	p := &pending{
-		spec:        spec,
-		internalID:  r.cmdIdx,
-		stepID:      r.prefixID(spec.ID),
-		displayID:   spec.Name,
-		tool:        tool,
-		options:     options,
-		migratable:  !spec.NonMigrate && !tool.Interactive,
-		waitingData: map[string]bool{},
-		waitingCtl:  map[string]bool{},
+		spec:       spec,
+		internalID: r.cmdIdx,
+		stepID:     r.prefixID(spec.ID),
+		displayID:  spec.Name,
+		tool:       tool,
+		options:    options,
+		migratable: !spec.NonMigrate && !tool.Interactive,
 	}
 	for _, formal := range spec.Inputs {
 		p.inputs = append(p.inputs, r.resolveName(formal))
@@ -180,20 +179,28 @@ func (r *run) registerStep(spec *tdl.StepSpec) error {
 		if spec.HasResumed {
 			r.resumedSpecs[p.stepID] = r.prefixResumed(spec.ResumedStep)
 		}
-		r.stepNames[p.stepID] = spec.Name
+		r.named = append(r.named, namedStep{name: spec.Name, stepID: p.stepID, internalID: p.internalID})
 	} else if spec.HasResumed {
 		// Unnumbered steps may still declare a resumed step; key by name.
 		r.resumedSpecs[spec.Name] = r.prefixResumed(spec.ResumedStep)
 	}
 
+	// The wait sets are made only for a step that actually waits; a nil
+	// set reads as empty everywhere else.
 	for _, phys := range p.inputs {
 		if _, ok := r.ready[phys]; !ok {
+			if p.waitingData == nil {
+				p.waitingData = map[string]bool{}
+			}
 			p.waitingData[phys] = true
 		}
 	}
 	for _, dep := range spec.ControlDeps {
 		dep = r.prefixID(dep)
 		if !r.completed[dep] {
+			if p.waitingCtl == nil {
+				p.waitingCtl = map[string]bool{}
+			}
 			p.waitingCtl[dep] = true
 		}
 	}
@@ -711,7 +718,7 @@ func (r *run) expandSubtask(spec *tdl.SubtaskSpec) error {
 	if err != nil {
 		return fmt.Errorf("subtask %s: %v", spec.Name, err)
 	}
-	tpl, err := tdl.Parse(script)
+	tpl, err := r.m.template(spec.Name, script)
 	if err != nil {
 		return fmt.Errorf("subtask %s: %v", spec.Name, err)
 	}
@@ -739,13 +746,8 @@ func (r *run) expandSubtask(spec *tdl.SubtaskSpec) error {
 	sc.path = parentPath + prefix + "."
 	r.scopes = append(r.scopes, sc)
 	defer func() { r.scopes = r.scopes[:len(r.scopes)-1] }()
-	for _, raw := range tpl.Commands {
-		if tdl.StatusBarrier(raw) {
-			if err := r.drain(); err != nil {
-				return err
-			}
-		}
-		if _, err := r.interp.Eval(raw); err != nil {
+	for i := range tpl.Scripts {
+		if err := r.evalCommand(tpl, i); err != nil {
 			return err
 		}
 	}

@@ -6,44 +6,51 @@ import (
 	"strings"
 )
 
-// registerBuiltins installs the core command set. The set covers everything
-// the dissertation's TDL templates use (set, expr, if, while, for, foreach,
-// proc, list operations, catch/error, switch) plus a few conveniences.
-func registerBuiltins(in *Interp) {
-	in.Register("set", cmdSet)
-	in.Register("unset", cmdUnset)
-	in.Register("incr", cmdIncr)
-	in.Register("append", cmdAppend)
-	in.Register("expr", cmdExpr)
-	in.Register("if", cmdIf)
-	in.Register("while", cmdWhile)
-	in.Register("for", cmdFor)
-	in.Register("foreach", cmdForeach)
-	in.Register("break", cmdBreak)
-	in.Register("continue", cmdContinue)
-	in.Register("proc", cmdProc)
-	in.Register("return", cmdReturn)
-	in.Register("global", cmdGlobal)
-	in.Register("list", cmdList)
-	in.Register("lindex", cmdLindex)
-	in.Register("llength", cmdLlength)
-	in.Register("lappend", cmdLappend)
-	in.Register("lrange", cmdLrange)
-	in.Register("lsearch", cmdLsearch)
-	in.Register("concat", cmdConcat)
-	in.Register("split", cmdSplit)
-	in.Register("join", cmdJoin)
-	in.Register("string", cmdString)
-	in.Register("format", cmdFormat)
-	in.Register("eval", cmdEval)
-	in.Register("subst", cmdSubst)
-	in.Register("catch", cmdCatch)
-	in.Register("error", cmdError)
-	in.Register("switch", cmdSwitch)
-	in.Register("case", cmdSwitch) // pre-Tcl7 spelling used in older scripts
-	in.Register("puts", cmdPuts)
-	in.Register("info", cmdInfo)
-	in.Register("source", cmdSource)
+// builtins is the core command set, built once and shared read-only by
+// every interpreter (an Interp's own table only holds its registrations).
+// The set covers everything the dissertation's TDL templates use (set,
+// expr, if, while, for, foreach, proc, list operations, catch/error,
+// switch) plus a few conveniences. It is filled in init because several
+// builtins (info, eval, ...) reach back to it through the interpreter.
+var builtins map[string]Command
+
+func init() {
+	builtins = map[string]Command{
+		"set":      cmdSet,
+		"unset":    cmdUnset,
+		"incr":     cmdIncr,
+		"append":   cmdAppend,
+		"expr":     cmdExpr,
+		"if":       cmdIf,
+		"while":    cmdWhile,
+		"for":      cmdFor,
+		"foreach":  cmdForeach,
+		"break":    cmdBreak,
+		"continue": cmdContinue,
+		"proc":     cmdProc,
+		"return":   cmdReturn,
+		"global":   cmdGlobal,
+		"list":     cmdList,
+		"lindex":   cmdLindex,
+		"llength":  cmdLlength,
+		"lappend":  cmdLappend,
+		"lrange":   cmdLrange,
+		"lsearch":  cmdLsearch,
+		"concat":   cmdConcat,
+		"split":    cmdSplit,
+		"join":     cmdJoin,
+		"string":   cmdString,
+		"format":   cmdFormat,
+		"eval":     cmdEval,
+		"subst":    cmdSubst,
+		"catch":    cmdCatch,
+		"error":    cmdError,
+		"switch":   cmdSwitch,
+		"case":     cmdSwitch, // pre-Tcl7 spelling used in older scripts
+		"puts":     cmdPuts,
+		"info":     cmdInfo,
+		"source":   cmdSource,
+	}
 }
 
 func arity(args []string, min, max int) error {
@@ -170,6 +177,7 @@ func cmdWhile(in *Interp, args []string) (string, error) {
 	if err := arity(args, 2, 2); err != nil {
 		return "", err
 	}
+	body := Compile(args[2])
 	for {
 		ok, err := in.EvalCond(args[1])
 		if err != nil {
@@ -178,7 +186,7 @@ func cmdWhile(in *Interp, args []string) (string, error) {
 		if !ok {
 			return "", nil
 		}
-		if _, err := in.Eval(args[2]); err != nil {
+		if _, err := in.EvalScript(body); err != nil {
 			if err == errBreak {
 				return "", nil
 			}
@@ -197,6 +205,7 @@ func cmdFor(in *Interp, args []string) (string, error) {
 	if _, err := in.Eval(args[1]); err != nil {
 		return "", err
 	}
+	next, body := Compile(args[3]), Compile(args[4])
 	for {
 		ok, err := in.EvalCond(args[2])
 		if err != nil {
@@ -205,14 +214,14 @@ func cmdFor(in *Interp, args []string) (string, error) {
 		if !ok {
 			return "", nil
 		}
-		_, err = in.Eval(args[4])
+		_, err = in.EvalScript(body)
 		if err == errBreak {
 			return "", nil
 		}
 		if err != nil && err != errContinue {
 			return "", err
 		}
-		if _, err := in.Eval(args[3]); err != nil {
+		if _, err := in.EvalScript(next); err != nil {
 			return "", err
 		}
 	}
@@ -233,6 +242,7 @@ func cmdForeach(in *Interp, args []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	body := Compile(args[3])
 	for i := 0; i < len(values); i += len(names) {
 		for j, name := range names {
 			v := ""
@@ -241,7 +251,7 @@ func cmdForeach(in *Interp, args []string) (string, error) {
 			}
 			in.SetVar(name, v)
 		}
-		_, err := in.Eval(args[3])
+		_, err := in.EvalScript(body)
 		if err == errBreak {
 			return "", nil
 		}
@@ -264,7 +274,7 @@ func cmdProc(in *Interp, args []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	body := args[3]
+	body := Compile(args[3])
 	in.Register(name, func(in *Interp, callArgs []string) (string, error) {
 		f := newFrame()
 		for i, p := range params {
@@ -287,7 +297,7 @@ func cmdProc(in *Interp, args []string) (string, error) {
 		}
 		in.frames = append(in.frames, f)
 		defer func() { in.frames = in.frames[:len(in.frames)-1] }()
-		result, err := in.Eval(body)
+		result, err := in.EvalScript(body)
 		if ret, ok := err.(returnSignal); ok {
 			return ret.value, nil
 		}
@@ -312,6 +322,9 @@ func cmdGlobal(in *Interp, args []string) (string, error) {
 		return "", err
 	}
 	f := in.top()
+	if f.globals == nil {
+		f.globals = make(map[string]bool)
+	}
 	for _, name := range args[1:] {
 		f.globals[name] = true
 	}

@@ -1,15 +1,13 @@
 package tcl
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // The parser converts script text into commands made of words, where each
-// word is a sequence of parts: literal text, variable references, or nested
-// scripts (bracket command substitution). Substitution itself happens at
-// evaluation time, so the same parsed structure yields different words as
-// variables change.
+// word is either literal text or a sequence of parts: literal text,
+// variable references, or nested scripts (bracket command substitution).
+// Substitution itself happens at evaluation time, so the same parsed
+// structure yields different words as variables change. Literal text that
+// contains no backslash escape is a substring of the script, never a copy.
 
 type partKind int
 
@@ -24,12 +22,66 @@ type wordPart struct {
 	text string
 }
 
+// word is one parsed command word. A word without substitutions is just
+// its text; parts is nil then, which keeps compiled scripts small.
 type word struct {
+	text  string
 	parts []wordPart
 }
 
-func literalWord(s string) word {
-	return word{parts: []wordPart{{kind: partLiteral, text: s}}}
+// makeWord builds a word from its parts, folding a lone literal part (or
+// no part at all) into a literal word.
+func makeWord(parts []wordPart) word {
+	switch {
+	case len(parts) == 0:
+		return word{}
+	case len(parts) == 1 && parts[0].kind == partLiteral:
+		return word{text: parts[0].text}
+	}
+	return word{parts: parts}
+}
+
+// literal accumulates a run of literal text while a word is parsed. As
+// long as the run holds no backslash escape it is the source span
+// [start, end); the first escape copies it into buf.
+type literal struct {
+	start, end int
+	buf        []byte
+	copied     bool
+}
+
+// plain adds the source byte at pos, consumed verbatim.
+func (l *literal) plain(src string, pos int) {
+	switch {
+	case l.copied:
+		l.buf = append(l.buf, src[pos])
+	case l.start == l.end:
+		l.start, l.end = pos, pos+1
+	default:
+		l.end = pos + 1
+	}
+}
+
+// escaped adds the replacement text of a backslash sequence.
+func (l *literal) escaped(src, s string) {
+	if !l.copied {
+		l.buf = append(l.buf[:0], src[l.start:l.end]...)
+		l.copied = true
+	}
+	l.buf = append(l.buf, s...)
+}
+
+// flush appends the pending run to parts as a literal part and resets it.
+func (l *literal) flush(src string, parts []wordPart) []wordPart {
+	if !l.copied && l.start == l.end {
+		return parts
+	}
+	text := src[l.start:l.end]
+	if l.copied {
+		text = string(l.buf)
+	}
+	l.start, l.end, l.buf, l.copied = 0, 0, l.buf[:0], false
+	return append(parts, wordPart{kind: partLiteral, text: text})
 }
 
 type parser struct {
@@ -68,13 +120,14 @@ func (p *parser) atTerminator() bool {
 	return c == '\n' || c == ';' || c == '\r'
 }
 
-// parseCommand returns the words of the next command. ok is false at EOF.
-// Empty commands (blank lines, comments) are skipped.
-func (p *parser) parseCommand() ([]word, bool, error) {
+// parseCommand parses the next command. ok is false at EOF. Empty
+// commands (blank lines, comments) are skipped, so a returned command
+// always has at least one word.
+func (p *parser) parseCommand() (cmd command, ok bool, err error) {
 	for {
 		p.skipSeparators()
 		if p.eof() {
-			return nil, false, nil
+			return command{}, false, nil
 		}
 		c := p.peek()
 		if c == '\n' || c == '\r' || c == ';' {
@@ -88,20 +141,21 @@ func (p *parser) parseCommand() ([]word, bool, error) {
 		break
 	}
 
-	var words []word
+	start := p.pos
 	for {
 		p.skipSeparators()
 		if p.atTerminator() {
+			cmd.src = p.text[start:p.pos]
 			if !p.eof() {
 				p.pos++ // consume terminator
 			}
-			return words, true, nil
+			return cmd, true, nil
 		}
 		w, err := p.parseWord()
 		if err != nil {
-			return nil, false, err
+			return command{}, false, err
 		}
-		words = append(words, w)
+		cmd.words = append(cmd.words, w)
 	}
 }
 
@@ -130,7 +184,7 @@ func (p *parser) parseWord() (word, error) {
 	}
 }
 
-// parseBracedWord parses {...}: the content is a single literal part with no
+// parseBracedWord parses {...}: the content is literal, with no
 // substitution. Braces nest; backslash-newline inside is preserved.
 func (p *parser) parseBracedWord() (word, error) {
 	start := p.pos
@@ -158,7 +212,7 @@ func (p *parser) parseBracedWord() (word, error) {
 				if !p.eof() && !p.atWordBoundary() {
 					return word{}, fmt.Errorf("extra characters after close-brace at offset %d", p.pos)
 				}
-				return literalWord(content), nil
+				return word{text: content}, nil
 			}
 		default:
 			p.pos++
@@ -182,110 +236,61 @@ func (p *parser) atWordBoundary() bool {
 func (p *parser) parseQuotedWord() (word, error) {
 	start := p.pos
 	p.pos++ // consume "
-	var w word
-	var lit strings.Builder
-	flush := func() {
-		if lit.Len() > 0 {
-			w.parts = append(w.parts, wordPart{kind: partLiteral, text: lit.String()})
-			lit.Reset()
-		}
+	parts, err := p.parseParts(func(p *parser) bool { return p.peek() == '"' })
+	if err != nil {
+		return word{}, err
 	}
-	for !p.eof() {
-		c := p.peek()
-		switch c {
-		case '"':
-			p.pos++
-			flush()
-			if !p.atWordBoundary() {
-				return word{}, fmt.Errorf("extra characters after close-quote at offset %d", p.pos)
-			}
-			if len(w.parts) == 0 {
-				w.parts = append(w.parts, wordPart{kind: partLiteral, text: ""})
-			}
-			return w, nil
-		case '$':
-			flush()
-			part, err := p.parseVariable()
-			if err != nil {
-				return word{}, err
-			}
-			w.parts = append(w.parts, part)
-		case '[':
-			flush()
-			part, err := p.parseBracket()
-			if err != nil {
-				return word{}, err
-			}
-			w.parts = append(w.parts, part)
-		case '\\':
-			s, err := p.parseEscape()
-			if err != nil {
-				return word{}, err
-			}
-			lit.WriteString(s)
-		default:
-			lit.WriteByte(c)
-			p.pos++
-		}
+	if p.eof() {
+		return word{}, fmt.Errorf("missing close-quote for quote at offset %d", start)
 	}
-	return word{}, fmt.Errorf("missing close-quote for quote at offset %d", start)
+	p.pos++ // consume "
+	if !p.atWordBoundary() {
+		return word{}, fmt.Errorf("extra characters after close-quote at offset %d", p.pos)
+	}
+	return makeWord(parts), nil
 }
 
-// parseBareWord parses an unquoted word, ending at whitespace or a command
-// terminator.
+// parseBareWord parses an unquoted word, ending at whitespace, a command
+// terminator, or a backslash-newline continuation (which ends the word
+// like whitespace).
 func (p *parser) parseBareWord() (word, error) {
-	var w word
-	var lit strings.Builder
-	flush := func() {
-		if lit.Len() > 0 {
-			w.parts = append(w.parts, wordPart{kind: partLiteral, text: lit.String()})
-			lit.Reset()
-		}
+	parts, err := p.parseParts((*parser).atWordBoundary)
+	if err != nil {
+		return word{}, err
 	}
-	for !p.eof() {
-		c := p.peek()
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == ';' {
-			break
-		}
-		switch c {
+	return makeWord(parts), nil
+}
+
+// parseParts scans substitutable text — literal runs, $variables,
+// [scripts] and backslash escapes — until atEnd reports true or the text
+// runs out.
+func (p *parser) parseParts(atEnd func(*parser) bool) ([]wordPart, error) {
+	var parts []wordPart
+	var lit literal
+	for !p.eof() && !atEnd(p) {
+		switch p.peek() {
 		case '$':
-			flush()
+			parts = lit.flush(p.text, parts)
 			part, err := p.parseVariable()
 			if err != nil {
-				return word{}, err
+				return nil, err
 			}
-			w.parts = append(w.parts, part)
+			parts = append(parts, part)
 		case '[':
-			flush()
+			parts = lit.flush(p.text, parts)
 			part, err := p.parseBracket()
 			if err != nil {
-				return word{}, err
+				return nil, err
 			}
-			w.parts = append(w.parts, part)
+			parts = append(parts, part)
 		case '\\':
-			if p.pos+1 < len(p.text) && p.text[p.pos+1] == '\n' {
-				// Continuation ends the word like whitespace.
-				flush()
-				if len(w.parts) == 0 {
-					w.parts = append(w.parts, wordPart{kind: partLiteral, text: ""})
-				}
-				return w, nil
-			}
-			s, err := p.parseEscape()
-			if err != nil {
-				return word{}, err
-			}
-			lit.WriteString(s)
+			lit.escaped(p.text, p.parseEscape())
 		default:
-			lit.WriteByte(c)
+			lit.plain(p.text, p.pos)
 			p.pos++
 		}
 	}
-	flush()
-	if len(w.parts) == 0 {
-		w.parts = append(w.parts, wordPart{kind: partLiteral, text: ""})
-	}
-	return w, nil
+	return lit.flush(p.text, parts), nil
 }
 
 // parseVariable parses $name or ${name}. A bare $ with no name is literal.
@@ -369,119 +374,102 @@ func (p *parser) parseBracket() (wordPart, error) {
 }
 
 // parseEscape consumes a backslash sequence and returns its replacement text.
-func (p *parser) parseEscape() (string, error) {
+func (p *parser) parseEscape() string {
 	p.pos++ // consume backslash
 	if p.eof() {
-		return "\\", nil
+		return "\\"
 	}
 	c := p.peek()
 	p.pos++
 	switch c {
 	case 'n':
-		return "\n", nil
+		return "\n"
 	case 't':
-		return "\t", nil
+		return "\t"
 	case 'r':
-		return "\r", nil
+		return "\r"
 	case '\n':
 		// Backslash-newline plus following whitespace collapses to a space.
 		for !p.eof() && (p.peek() == ' ' || p.peek() == '\t') {
 			p.pos++
 		}
-		return " ", nil
+		return " "
 	default:
-		return string(c), nil
+		return string(c)
 	}
 }
+
+// Script is a compiled script: the words of each command, parsed but not
+// yet substituted, so evaluating it again skips the parse. Words point
+// into the source text. A Script is immutable once compiled, so any number
+// of interpreters may evaluate it, concurrently too.
+type Script struct {
+	cmds []command
+	// err is the parse error that ended compilation after cmds. Like a
+	// script interpreted command by command, EvalScript reports it only
+	// once the commands before it have run.
+	err error
+}
+
+// command is one compiled command.
+type command struct {
+	src   string // source text, terminator excluded
+	words []word
+}
+
+// Compile parses a script for evaluation with Interp.EvalScript. It never
+// fails: a parse error is kept in the Script, in its place after the
+// commands that parsed.
+func Compile(text string) *Script {
+	p := newParser(text)
+	s := &Script{}
+	for {
+		cmd, ok, err := p.parseCommand()
+		if err != nil {
+			s.err = err
+			return s
+		}
+		if !ok {
+			return s
+		}
+		s.cmds = append(s.cmds, cmd)
+	}
+}
+
+// Err returns the script's parse error, if any.
+func (s *Script) Err() error { return s.err }
+
+// Len returns the number of commands that parsed.
+func (s *Script) Len() int { return len(s.cmds) }
+
+// Command returns a script holding only command i. It shares s's parsed
+// words.
+func (s *Script) Command(i int) *Script { return &Script{cmds: s.cmds[i : i+1 : i+1]} }
+
+// Source returns command i's source text, without its terminator.
+func (s *Script) Source(i int) string { return s.cmds[i].src }
 
 // SplitCommands splits a script into its top-level commands' raw texts
-// without evaluating them. The task manager uses this to assign each
-// top-level command an internal ID for the programmable-abort machinery
-// (dissertation §4.3.4): restart resumes interpretation at command J+1.
+// without evaluating them: the Source of each command Compile parses.
 func SplitCommands(script string) ([]string, error) {
-	p := newParser(script)
-	var out []string
-	for {
-		// Skip separators, blank commands and comments, tracking where
-		// the next real command starts.
-		for {
-			p.skipSeparators()
-			if p.eof() {
-				return out, nil
-			}
-			c := p.peek()
-			if c == '\n' || c == '\r' || c == ';' {
-				p.pos++
-				continue
-			}
-			if c == '#' {
-				p.skipComment()
-				continue
-			}
-			break
-		}
-		start := p.pos
-		for {
-			p.skipSeparators()
-			if p.atTerminator() {
-				end := p.pos
-				if !p.eof() {
-					p.pos++
-				}
-				out = append(out, p.text[start:end])
-				break
-			}
-			if _, err := p.parseWord(); err != nil {
-				return nil, err
-			}
-		}
+	s := Compile(script)
+	if s.err != nil {
+		return nil, s.err
 	}
+	out := make([]string, len(s.cmds))
+	for i := range s.cmds {
+		out[i] = s.cmds[i].src
+	}
+	return out, nil
 }
 
-// parseSubstParts parses free text (not a command word) into parts, used by
-// Subst and expr: $, [] and backslash substitutions apply, everything else is
-// literal.
-func parseSubstParts(text string) ([]wordPart, error) {
-	p := newParser(text)
-	var parts []wordPart
-	var lit strings.Builder
-	flush := func() {
-		if lit.Len() > 0 {
-			parts = append(parts, wordPart{kind: partLiteral, text: lit.String()})
-			lit.Reset()
-		}
+// parseSubstWord parses free text (not a command word) into a word, used
+// by Subst and expr: $, [] and backslash substitutions apply, everything
+// else is literal.
+func parseSubstWord(text string) (word, error) {
+	parts, err := newParser(text).parseParts(func(*parser) bool { return false })
+	if err != nil {
+		return word{}, err
 	}
-	for !p.eof() {
-		c := p.peek()
-		switch c {
-		case '$':
-			flush()
-			part, err := p.parseVariable()
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, part)
-		case '[':
-			flush()
-			part, err := p.parseBracket()
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, part)
-		case '\\':
-			s, err := p.parseEscape()
-			if err != nil {
-				return nil, err
-			}
-			lit.WriteString(s)
-		default:
-			lit.WriteByte(c)
-			p.pos++
-		}
-	}
-	flush()
-	if len(parts) == 0 {
-		parts = append(parts, wordPart{kind: partLiteral, text: ""})
-	}
-	return parts, nil
+	return makeWord(parts), nil
 }

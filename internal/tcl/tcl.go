@@ -44,14 +44,19 @@ type frame struct {
 	globals map[string]bool // names aliased to the global frame
 }
 
+// newFrame returns an empty scope. Its globals map is made by the first
+// `global` command, since most scopes never declare one.
 func newFrame() *frame {
-	return &frame{vars: make(map[string]string), globals: make(map[string]bool)}
+	return &frame{vars: make(map[string]string)}
 }
 
 // Interp is a Tcl interpreter: a command table plus a stack of variable
 // scopes. It is not safe for concurrent use; Papyrus runs one Interp per task
 // manager instance.
 type Interp struct {
+	// commands holds this interpreter's own bindings, consulted before
+	// the shared builtin table. A nil entry is a tombstone: the name was
+	// unregistered here, hiding any builtin of that name.
 	commands map[string]Command
 	frames   []*frame
 
@@ -69,33 +74,61 @@ type Interp struct {
 	depth int
 }
 
-// New returns an interpreter with the built-in command set registered.
+// New returns an interpreter with the built-in command set available. The
+// builtins live in one table shared read-only by every interpreter, so New
+// copies none of them.
 func New() *Interp {
-	in := &Interp{
-		commands: make(map[string]Command),
+	return &Interp{
 		frames:   []*frame{newFrame()},
 		Out:      io.Discard,
 		MaxDepth: 1000,
 	}
-	registerBuiltins(in)
-	return in
 }
 
-// Register installs (or replaces) a command binding.
+// Register installs (or replaces) a command binding in this interpreter
+// only.
 func (in *Interp) Register(name string, cmd Command) {
+	if in.commands == nil {
+		in.commands = make(map[string]Command)
+	}
 	in.commands[name] = cmd
 }
 
-// Unregister removes a command binding.
+// Unregister removes a command binding from this interpreter. Removing a
+// builtin leaves a tombstone that hides it here and nowhere else.
 func (in *Interp) Unregister(name string) {
-	delete(in.commands, name)
+	if _, ok := builtins[name]; !ok {
+		delete(in.commands, name)
+		return
+	}
+	if in.commands == nil {
+		in.commands = make(map[string]Command)
+	}
+	in.commands[name] = nil
+}
+
+// lookup resolves a command name: own bindings (and tombstones) first,
+// then the builtin table.
+func (in *Interp) lookup(name string) (Command, bool) {
+	if cmd, ok := in.commands[name]; ok {
+		return cmd, cmd != nil
+	}
+	cmd, ok := builtins[name]
+	return cmd, ok
 }
 
 // Commands returns the sorted names of all registered commands.
 func (in *Interp) Commands() []string {
-	names := make([]string, 0, len(in.commands))
-	for n := range in.commands {
-		names = append(names, n)
+	names := make([]string, 0, len(builtins)+len(in.commands))
+	for n := range builtins {
+		if _, own := in.commands[n]; !own {
+			names = append(names, n)
+		}
+	}
+	for n, cmd := range in.commands {
+		if cmd != nil {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -145,67 +178,62 @@ func (in *Interp) UnsetVar(name string) {
 	delete(f.vars, name)
 }
 
-// Eval evaluates a script and returns the result of its last command.
+// Eval evaluates a script and returns the result of its last command. It
+// is Compile followed by EvalScript; callers that evaluate the same text
+// repeatedly should compile it once.
 func (in *Interp) Eval(script string) (string, error) {
+	return in.EvalScript(Compile(script))
+}
+
+// EvalScript evaluates a compiled script and returns the result of its last
+// command. A parse error recorded in the script is returned after the
+// commands before it have run, exactly where interpreting the text command
+// by command would meet it.
+func (in *Interp) EvalScript(s *Script) (string, error) {
 	if in.depth >= in.MaxDepth {
 		return "", fmt.Errorf("too many nested evaluations (max %d)", in.MaxDepth)
 	}
 	in.depth++
 	defer func() { in.depth-- }()
 
-	p := newParser(script)
 	result := ""
-	for {
-		words, ok, err := in.nextCommand(p)
-		if err != nil {
-			return "", err
+	for i := range s.cmds {
+		raw := s.cmds[i].words
+		words := make([]string, len(raw))
+		for j := range raw {
+			w, err := in.substWord(raw[j])
+			if err != nil {
+				return "", err
+			}
+			words[j] = w
 		}
-		if !ok {
-			return result, nil
-		}
-		if len(words) == 0 {
-			continue
-		}
+		var err error
 		result, err = in.Call(words)
 		if err != nil {
 			return result, err
 		}
 	}
+	if s.err != nil {
+		return "", s.err
+	}
+	return result, nil
 }
 
 // Call invokes a command given its already-substituted words.
 func (in *Interp) Call(words []string) (string, error) {
-	cmd, ok := in.commands[words[0]]
+	cmd, ok := in.lookup(words[0])
 	if !ok {
 		return "", fmt.Errorf("invalid command name %q", words[0])
 	}
 	return cmd(in, words)
 }
 
-// nextCommand parses and substitutes the next command's words. The second
-// return value is false at end of script.
-func (in *Interp) nextCommand(p *parser) ([]string, bool, error) {
-	raw, ok, err := p.parseCommand()
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		return nil, false, nil
-	}
-	words := make([]string, 0, len(raw))
-	for _, w := range raw {
-		s, err := in.substWord(w)
-		if err != nil {
-			return nil, false, err
-		}
-		words = append(words, s)
-	}
-	return words, true, nil
-}
-
 // substWord evaluates one parsed word's parts into its final string value.
 func (in *Interp) substWord(w word) (string, error) {
-	if len(w.parts) == 1 {
+	switch len(w.parts) {
+	case 0:
+		return w.text, nil
+	case 1:
 		return in.substPart(w.parts[0])
 	}
 	var b strings.Builder
@@ -239,9 +267,9 @@ func (in *Interp) substPart(part wordPart) (string, error) {
 // Subst performs $-, \- and []-substitution on text without treating it as a
 // command, mirroring Tcl's subst. `expr` uses it before parsing.
 func (in *Interp) Subst(text string) (string, error) {
-	parts, err := parseSubstParts(text)
+	w, err := parseSubstWord(text)
 	if err != nil {
 		return "", err
 	}
-	return in.substWord(word{parts: parts})
+	return in.substWord(w)
 }

@@ -4,7 +4,8 @@
 // plus these commands; the task manager (internal/task) registers their
 // implementations into a tcl.Interp and interprets templates top-level
 // command by top-level command, so that each command carries an internal
-// ID for the programmable-abort machinery (§4.3.4).
+// ID for the programmable-abort machinery (§4.3.4). Compile parses a
+// template once into per-command compiled scripts that every run shares.
 package tdl
 
 import (
@@ -29,43 +30,89 @@ type Template struct {
 
 // Parse parses a template file's text.
 func Parse(script string) (*Template, error) {
-	cmds, err := tcl.SplitCommands(script)
+	t, _, err := parse(script)
+	return t, err
+}
+
+// Compiled is a template compiled once for repeated interpretation: the
+// parsed Template plus each body command's compiled script and status
+// barrier. It is immutable, so every run of the task can share it.
+type Compiled struct {
+	*Template
+	// Text is the template text this was compiled from. A cache keeps an
+	// entry only while its source still returns this text, so an edited
+	// template takes effect on its next run (§4.1).
+	Text string
+	// Scripts[i] is Commands[i] compiled for tcl.Interp.EvalScript.
+	Scripts []*tcl.Script
+	// Barrier[i] is StatusBarrier(Commands[i]).
+	Barrier []bool
+}
+
+// Compile parses a template's text and compiles its body commands. The
+// text is parsed once; the commands' words point into it.
+func Compile(script string) (*Compiled, error) {
+	t, s, err := parse(script)
 	if err != nil {
-		return nil, fmt.Errorf("tdl: %v", err)
+		return nil, err
 	}
-	if len(cmds) == 0 {
-		return nil, fmt.Errorf("tdl: empty template")
+	c := &Compiled{
+		Template: t,
+		Text:     script,
+		Scripts:  make([]*tcl.Script, len(t.Commands)),
+		Barrier:  make([]bool, len(t.Commands)),
+	}
+	for i, raw := range t.Commands {
+		c.Scripts[i] = s.Command(i + 1) // command 0 is the task header
+		c.Barrier[i] = StatusBarrier(raw)
+	}
+	return c, nil
+}
+
+// parse parses a template into its header fields and returns the compiled
+// script of the whole text alongside.
+func parse(script string) (*Template, *tcl.Script, error) {
+	s := tcl.Compile(script)
+	if err := s.Err(); err != nil {
+		return nil, nil, fmt.Errorf("tdl: %v", err)
+	}
+	if s.Len() == 0 {
+		return nil, nil, fmt.Errorf("tdl: empty template")
+	}
+	cmds := make([]string, s.Len())
+	for i := range cmds {
+		cmds[i] = s.Source(i)
 	}
 	head, err := tcl.ParseList(cmds[0])
 	if err != nil {
-		return nil, fmt.Errorf("tdl: task command: %v", err)
+		return nil, nil, fmt.Errorf("tdl: task command: %v", err)
 	}
 	if len(head) < 2 || head[0] != "task" {
-		return nil, fmt.Errorf("tdl: template must begin with a task command, got %q", cmds[0])
+		return nil, nil, fmt.Errorf("tdl: template must begin with a task command, got %q", cmds[0])
 	}
 	t := &Template{Name: head[1], Commands: cmds[1:]}
 	if len(head) > 2 {
 		ins, err := tcl.ParseList(head[2])
 		if err != nil {
-			return nil, fmt.Errorf("tdl: task input list: %v", err)
+			return nil, nil, fmt.Errorf("tdl: task input list: %v", err)
 		}
 		t.Inputs = ins
 	}
 	if len(head) > 3 {
 		outs, err := tcl.ParseList(head[3])
 		if err != nil {
-			return nil, fmt.Errorf("tdl: task output list: %v", err)
+			return nil, nil, fmt.Errorf("tdl: task output list: %v", err)
 		}
 		t.Outputs = outs
 	}
 	seen := map[string]bool{}
 	for _, n := range append(append([]string{}, t.Inputs...), t.Outputs...) {
 		if seen[n] {
-			return nil, fmt.Errorf("tdl: task %q declares %q twice", t.Name, n)
+			return nil, nil, fmt.Errorf("tdl: task %q declares %q twice", t.Name, n)
 		}
 		seen[n] = true
 	}
-	return t, nil
+	return t, s, nil
 }
 
 // StepSpec is a parsed step command (§4.2.2):
