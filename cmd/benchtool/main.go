@@ -3,16 +3,16 @@
 // execution time is the simulated cluster's virtual clock, so the tables
 // reproduce bit-for-bit across runs and machines.
 //
-// Usage: benchtool [-exp all|speedup|remigration|scopecache|storage|rework|viewport|inference|abort|rebuild|faults|scale|replay|serve|workload|index]
+// Usage: benchtool [-exp all|speedup|remigration|scopecache|storage|rework|viewport|inference|abort|rebuild|faults|scale|replay|serve|workload|reclaim]
 //
-// The scale (E11), serve (E13), workload (E15) and index (E16)
+// The scale (E11), serve (E13), workload (E15) and reclaim (E17)
 // experiments are the exceptions to pure virtual-time measurement: scale
 // reports wall-clock throughput of the concurrent engine (steps/sec vs
 // worker count at N sessions), serve reports wire latency and throughput
 // of the papyrusd front-end under concurrent designer sessions, workload
-// drives every generated scenario profile through both paths, and index
-// races the version-store backends against each other, so none is part
-// of -exp all. Their correctness columns — the stats and version-map
+// drives every generated scenario profile through both paths, and
+// reclaim soaks a deep rework history under background sweeps, so none
+// is part of -exp all. Their correctness columns — the stats and version-map
 // fingerprints — are still bit-reproducible.
 package main
 
@@ -71,11 +71,6 @@ var (
 	// summaryPath is the -summary file: experiments append GitHub-flavored
 	// markdown tables to it (CI points this at $GITHUB_STEP_SUMMARY).
 	summaryPath string
-	// benchBackend is the -backend flag: the object-store version-index
-	// backend every experiment's stores are built on (docs/STORAGE.md).
-	// Fingerprints are backend-invariant, so any setting must reproduce
-	// the tables; -exp index races all backends regardless.
-	benchBackend string
 	// benchGateErrs collects threshold-gate violations. Gates record here
 	// via gateFail instead of exiting on the spot so the deferred profile,
 	// trace and summary writers flush first; main exits non-zero at the
@@ -118,7 +113,7 @@ func measureVT(name string, now int64) int64 {
 // stranded -memo between the replay switches.
 var flagOrder = []string{
 	"exp", "stats", "trace", "faults",
-	"cpuprofile", "memprofile", "benchmem", "summary", "backend",
+	"cpuprofile", "memprofile", "benchmem", "summary",
 	"scalesessions", "scaleworkers", "scalelatency", "scalemin",
 	"scaleregress", "allocmax",
 	"scaleout", "scalewal", "scalefsync", "memo",
@@ -128,9 +123,7 @@ var flagOrder = []string{
 	"serveout",
 	"wlprofiles", "wlseed", "wlsessions", "wldepth", "wlfanout",
 	"wlworkers", "wlmin", "wlout",
-	"ixprofiles", "ixbackends", "ixseed", "ixsessions", "ixdepth",
-	"ixfanout", "ixworkers", "ixscans", "ixmin", "ixout",
-	"rcbackends", "rcseed", "rcsessions", "rcdepth", "rcfanout",
+	"rcseed", "rcsessions", "rcdepth", "rcfanout",
 	"rcworkers", "rcsweep", "rcbudget", "rcgrowth", "rcmaxratio", "rcout",
 }
 
@@ -173,7 +166,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this file at exit")
 	flag.BoolVar(&benchMem, "benchmem", false, "measure allocations per scale cell (allocs/step, bytes/step columns)")
 	flag.StringVar(&summaryPath, "summary", "", "append markdown result tables to this file (CI: $GITHUB_STEP_SUMMARY)")
-	flag.StringVar(&benchBackend, "backend", "", "object-store version-index backend for every experiment: map, btree, or lsm (docs/STORAGE.md)")
 	flag.StringVar(&scaleSessions, "scalesessions", "1,8,64", "comma-separated session counts for -exp scale")
 	flag.StringVar(&scaleWorkers, "scaleworkers", "1,2,4,8", "comma-separated worker counts for -exp scale")
 	flag.DurationVar(&scaleLatency, "scalelatency", 2*time.Millisecond, "injected wall-clock latency per tool body for -exp scale")
@@ -205,17 +197,6 @@ func main() {
 	flag.StringVar(&wlWorkers, "wlworkers", "1,4", "comma-separated worker counts for -exp workload (fingerprints must be invariant)")
 	flag.Float64Var(&wlMin, "wlmin", 0, "fail (exit 1) if any profile's best in-process cell is below this many steps/sec")
 	flag.StringVar(&wlOut, "wlout", "BENCH_workload.json", "output file for the -exp workload table")
-	flag.StringVar(&ixProfiles, "ixprofiles", "rework,interactive,collab", "comma-separated workload profiles for -exp index (read-heavy and write-heavy)")
-	flag.StringVar(&ixBackends, "ixbackends", "map,btree,lsm", "comma-separated version-index backends for -exp index")
-	flag.Int64Var(&ixSeed, "ixseed", 7, "workload generator seed for -exp index")
-	flag.IntVar(&ixSessions, "ixsessions", 4, "designer sessions per profile for -exp index")
-	flag.IntVar(&ixDepth, "ixdepth", 6, "depth knob (rounds, chain length) for -exp index")
-	flag.IntVar(&ixFanout, "ixfanout", 4, "fanout knob (burst width, fan arity) for -exp index")
-	flag.IntVar(&ixWorkers, "ixworkers", 4, "worker-pool size for -exp index cells")
-	flag.IntVar(&ixScans, "ixscans", 64, "lineage-scan rounds over every object's version chain for -exp index")
-	flag.Float64Var(&ixMin, "ixmin", 0, "fail (exit 1) if any index cell runs below this many steps/sec")
-	flag.StringVar(&ixOut, "ixout", "BENCH_index.json", "output file for the -exp index table")
-	flag.StringVar(&rcBackends, "rcbackends", "map,btree,lsm", "comma-separated version-index backends for -exp reclaim")
 	flag.Int64Var(&rcSeed, "rcseed", 7, "workload generator seed for -exp reclaim")
 	flag.IntVar(&rcSessions, "rcsessions", 4, "designer sessions for the -exp reclaim soak")
 	flag.IntVar(&rcDepth, "rcdepth", 64, "rework depth (rounds = depth/8) for -exp reclaim")
@@ -228,9 +209,6 @@ func main() {
 	flag.StringVar(&rcOut, "rcout", "BENCH_reclaim.json", "output file for the -exp reclaim table")
 	flag.Usage = usage
 	flag.Parse()
-	if _, err := oct.ParseBackend(benchBackend); err != nil {
-		log.Fatal(err)
-	}
 	benchFaults = *faults
 	if scaleAllocMax > 0 {
 		benchMem = true
@@ -294,7 +272,6 @@ func main() {
 		"replay":      expReplay,
 		"serve":       expServe,
 		"workload":    expWorkload,
-		"index":       expIndex,
 		"reclaim":     expReclaim,
 	}
 	if *exp == "all" {
@@ -321,28 +298,9 @@ func must(err error) {
 func newSystem(cfg core.Config) *core.System {
 	cfg.Metrics = benchMetrics
 	cfg.Trace = benchTracer
-	if cfg.StoreBackend == "" {
-		cfg.StoreBackend = benchBackend
-	}
 	sys, err := core.New(cfg)
 	must(err)
 	return sys
-}
-
-// newBenchStore builds a bare store on the -backend version index for
-// the experiments that drive oct directly (baselines, VOV comparisons).
-func newBenchStore() *oct.Store {
-	st, err := oct.NewStoreWithOptions(oct.Options{Backend: oct.Backend(benchBackend)})
-	must(err)
-	return st
-}
-
-// backendLabel is the resolved -backend name for table rows: the
-// default backend's name when the flag is unset.
-func backendLabel() string {
-	b, err := oct.ParseBackend(benchBackend)
-	must(err)
-	return string(b)
 }
 
 // --- Experiment: parallel speedup (Figs 4.2/4.3) ----------------------
@@ -414,7 +372,7 @@ func expReMigration() {
 			cluster.ScheduleOwnerActivity(sprite.NodeID(n), 0, 60)
 			cluster.ScheduleOwnerActivity(sprite.NodeID(n), 400, 500)
 		}
-		store := newBenchStore()
+		store := oct.NewStore()
 		cfg := task.Config{
 			Suite: cad.NewSuite(), Store: store, Cluster: cluster,
 			Templates: templates.Source(map[string]string{"Fanout4": fanoutTemplate}),
@@ -523,7 +481,7 @@ func expRework() {
 		// VOV: build a chain spec -> net -> o1 -> ... -> oN, then modify
 		// the spec: everything downstream re-executes.
 		suite := cad.NewSuite()
-		store := newBenchStore()
+		store := oct.NewStore()
 		vov := baseline.NewVOV(suite, store)
 		spec, err := store.Put("spec", oct.TypeBehavioral, oct.Text(logic.ShifterBehavior(3)), "designer")
 		must(err)
@@ -609,7 +567,7 @@ func expInference() {
 			return "1", nil
 		})
 		suite := cad.NewSuite()
-		store := newBenchStore()
+		store := oct.NewStore()
 		eng := infer.NewEngine(suite, store, adb)
 		// A binary configuration tree over `leaves` leaf cells.
 		var build func(lo, hi int) oct.Ref
@@ -735,7 +693,7 @@ func expRebuild() {
 		// derivatives of net. Editing spec invalidates everything; the
 		// designer only needs one derivative refreshed.
 		suite := cad.NewSuite()
-		store := newBenchStore()
+		store := oct.NewStore()
 		vov := baseline.NewVOV(suite, store)
 		spec, err := store.Put("spec", oct.TypeBehavioral, oct.Text(logic.ShifterBehavior(3)), "d")
 		must(err)
@@ -855,11 +813,8 @@ func statsSHA(reg *obs.Registry) string {
 
 // scaleRow is one (sessions, workers) cell of BENCH_scale.json.
 type scaleRow struct {
-	Sessions int `json:"sessions"`
-	Workers  int `json:"workers"`
-	// Backend is the store's version-index backend (-backend flag); the
-	// fingerprints must not depend on it (docs/STORAGE.md).
-	Backend     string  `json:"backend"`
+	Sessions    int     `json:"sessions"`
+	Workers     int     `json:"workers"`
 	Steps       int64   `json:"steps"`
 	WallMS      float64 `json:"wall_ms"`
 	StepsPerSec float64 `json:"steps_per_sec"`
@@ -891,7 +846,6 @@ func runScaleCell(sessions, workers int) scaleRow {
 		StepLatency:      scaleLatency,
 		DisableInference: true,
 		Metrics:          reg,
-		StoreBackend:     benchBackend,
 		ExtraTemplates:   map[string]string{"Fanout4": fanoutTemplate},
 	}
 	if scaleWAL {
@@ -960,7 +914,6 @@ func runScaleCell(sessions, workers int) scaleRow {
 	row := scaleRow{
 		Sessions:         sessions,
 		Workers:          workers,
-		Backend:          backendLabel(),
 		Steps:            steps,
 		WallMS:           float64(wall.Microseconds()) / 1000,
 		StepsPerSec:      float64(steps) / wall.Seconds(),
@@ -1062,17 +1015,17 @@ func expScale() {
 	}
 	var md strings.Builder
 	md.WriteString("### E11 scale: steps/sec vs workers\n\n")
-	md.WriteString("| sessions | workers | backend | steps | steps/sec | speedup vs 1w |")
+	md.WriteString("| sessions | workers | steps | steps/sec | speedup vs 1w |")
 	if benchMem {
 		md.WriteString(" allocs/step |")
 	}
-	md.WriteString("\n|---:|---:|:---|---:|---:|---:|")
+	md.WriteString("\n|---:|---:|---:|---:|---:|")
 	if benchMem {
 		md.WriteString("---:|")
 	}
 	md.WriteString("\n")
 	for _, r := range rows {
-		fmt.Fprintf(&md, "| %d | %d | %s | %d | %.1f | %.2f |", r.Sessions, r.Workers, r.Backend, r.Steps, r.StepsPerSec, r.SpeedupVs1)
+		fmt.Fprintf(&md, "| %d | %d | %d | %.1f | %.2f |", r.Sessions, r.Workers, r.Steps, r.StepsPerSec, r.SpeedupVs1)
 		if benchMem {
 			fmt.Fprintf(&md, " %.0f |", r.AllocsPerStep)
 		}
@@ -1099,10 +1052,8 @@ var replayChainTemplate = workload.ChainTemplate("ReplayChain", []string{"Build"
 
 // replayRow is one (workers, memo) cell of BENCH_replay.json.
 type replayRow struct {
-	Workers int  `json:"workers"`
-	Memo    bool `json:"memo"`
-	// Backend is the store's version-index backend (-backend flag).
-	Backend     string  `json:"backend"`
+	Workers     int     `json:"workers"`
+	Memo        bool    `json:"memo"`
 	FirstTicks  int64   `json:"first_run_ticks"`
 	ReplayTicks int64   `json:"replay_ticks"`
 	Speedup     float64 `json:"replay_speedup"`
@@ -1123,7 +1074,6 @@ func runReplayCell(workers int, withMemo bool) replayRow {
 	reg := obs.NewRegistry()
 	cfg := core.Config{
 		Nodes: 4, Workers: workers, DisableInference: true, Metrics: reg,
-		StoreBackend: benchBackend,
 		ExtraTemplates: map[string]string{
 			"Fanout4":     fanoutTemplate,
 			"ReplayChain": replayChainTemplate,
@@ -1160,7 +1110,6 @@ func runReplayCell(workers int, withMemo bool) replayRow {
 	return replayRow{
 		Workers:     workers,
 		Memo:        withMemo,
-		Backend:     backendLabel(),
 		FirstTicks:  first,
 		ReplayTicks: replay,
 		Speedup:     float64(first) / float64(max64(1, replay)),
@@ -1227,11 +1176,11 @@ func expReplay() {
 	}
 	var md strings.Builder
 	md.WriteString("### E12 replay: redo cost after a cursor move\n\n")
-	md.WriteString("| workers | memo | backend | first run (ticks) | replay (ticks) | speedup | hits | misses |\n")
-	md.WriteString("|---:|:---:|:---|---:|---:|---:|---:|---:|\n")
+	md.WriteString("| workers | memo | first run (ticks) | replay (ticks) | speedup | hits | misses |\n")
+	md.WriteString("|---:|:---:|---:|---:|---:|---:|---:|\n")
 	for _, r := range rows {
-		fmt.Fprintf(&md, "| %d | %v | %s | %d | %d | %.2f | %d | %d |\n",
-			r.Workers, r.Memo, r.Backend, r.FirstTicks, r.ReplayTicks, r.Speedup, r.MemoHits, r.MemoMisses)
+		fmt.Fprintf(&md, "| %d | %v | %d | %d | %.2f | %d | %d |\n",
+			r.Workers, r.Memo, r.FirstTicks, r.ReplayTicks, r.Speedup, r.MemoHits, r.MemoMisses)
 	}
 	md.WriteString("\n")
 	appendSummary(md.String())

@@ -238,80 +238,15 @@ func TestWorkloadExperiment(t *testing.T) {
 	}
 }
 
-// TestIndexExperiment drives the full E16 path at a small size: one
-// profile raced across all three version-index backends, with the
-// repeat, cross-backend fingerprint, scan-visited, and WAL-recovery
-// parity gates all in play. Any divergence log.Fatals inside expIndex
-// and fails the binary — the same check CI's index-matrix job performs
-// at full size.
-func TestIndexExperiment(t *testing.T) {
-	dir := t.TempDir()
-	ixProfiles, ixBackends = "rework", "map,btree,lsm"
-	ixSeed, ixSessions, ixDepth, ixFanout = 11, 2, 3, 3
-	ixWorkers, ixScans, ixMin = 2, 2, 0
-	ixOut = filepath.Join(dir, "index.json")
-	summaryPath = filepath.Join(dir, "summary.md")
-	benchGateErrs = nil
-	defer func() { summaryPath, benchGateErrs = "", nil }()
-
-	expIndex()
-
-	if len(benchGateErrs) != 0 {
-		t.Fatalf("index gates tripped with no floor set: %v", benchGateErrs)
-	}
-	raw, err := os.ReadFile(ixOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []indexRow
-	if err := json.Unmarshal(raw, &rows); err != nil {
-		t.Fatal(err)
-	}
-	// 1 profile x 3 backends (the repeat run is a gate, not a row).
-	if len(rows) != 3 {
-		t.Fatalf("%d rows, want 3", len(rows))
-	}
-	seen := map[string]bool{}
-	for _, row := range rows {
-		seen[row.Backend] = true
-		if row.Steps <= 0 || row.Scans <= 0 || row.ScanVisited <= 0 {
-			t.Errorf("%s/%s: empty cell: %+v", row.Profile, row.Backend, row)
-		}
-		// expIndex already fataled on any cross-backend or recovery
-		// divergence; re-assert the parity contract on the emitted rows.
-		if row.VersionSHA == "" || row.VersionSHA != rows[0].VersionSHA {
-			t.Errorf("%s/%s: version fingerprint diverged: %q vs %q",
-				row.Profile, row.Backend, row.VersionSHA, rows[0].VersionSHA)
-		}
-		if row.RecoverSHA != row.VersionSHA {
-			t.Errorf("%s/%s: recovery fingerprint diverged: %q vs %q",
-				row.Profile, row.Backend, row.RecoverSHA, row.VersionSHA)
-		}
-	}
-	for _, b := range []string{"map", "btree", "lsm"} {
-		if !seen[b] {
-			t.Errorf("no row for backend %s", b)
-		}
-	}
-	md, err := os.ReadFile(summaryPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(md), "### E16 index") {
-		t.Errorf("summary missing E16 section:\n%s", md)
-	}
-}
-
 // TestReclaimExperiment drives the full E17 path at a small size: the
-// deep-rework soak per backend in all four cells (swept, swept repeat,
-// unswept, WAL-armed with crash recovery). The repeat, modulo-reclaimed,
+// deep-rework soak in all four cells (swept, swept repeat, unswept,
+// WAL-armed with crash recovery). The repeat, modulo-reclaimed,
 // step-identity, and recovery gates all log.Fatal inside expReclaim on
 // divergence — the same check CI's reclaim-soak job performs at full
 // depth. The ratio-shape gates stay off: they need depth >= 128 so both
 // soak halves contain kept chains (docs/RECLAIM.md).
 func TestReclaimExperiment(t *testing.T) {
 	dir := t.TempDir()
-	rcBackends = "map,btree,lsm"
 	rcSeed, rcSessions, rcDepth, rcFanout = 11, 2, 8, 2
 	rcWorkers, rcSweep, rcBudget = 2, 1, 0
 	rcGrowth, rcMaxRatio = 0, 0
@@ -333,44 +268,42 @@ func TestReclaimExperiment(t *testing.T) {
 	if err := json.Unmarshal(raw, &rows); err != nil {
 		t.Fatal(err)
 	}
-	// 3 backends x 3 modes (the repeat run is a gate, not a row).
-	if len(rows) != 9 {
-		t.Fatalf("%d rows, want 9", len(rows))
+	// 3 modes (the repeat run is a gate, not a row).
+	if len(rows) != 3 {
+		t.Fatalf("%d rows, want 3", len(rows))
 	}
-	visible := map[string]string{}
 	for _, row := range rows {
 		if row.Steps <= 0 || row.WrittenBytes <= 0 || row.VersionSHA == "" || row.VisibleSHA == "" {
-			t.Errorf("%s/%s: empty cell: %+v", row.Backend, row.Mode, row)
+			t.Errorf("%s: empty cell: %+v", row.Mode, row)
 		}
 		switch row.Mode {
 		case "swept", "durable":
 			// The rework profile erases chains every round; barrier
 			// sweeps with grace 0 must physically delete them.
 			if row.ReclaimedVersions <= 0 || row.ReclaimedBytes <= 0 {
-				t.Errorf("%s/%s: sweeps reclaimed nothing: %+v", row.Backend, row.Mode, row)
+				t.Errorf("%s: sweeps reclaimed nothing: %+v", row.Mode, row)
 			}
 			if row.Ratio >= 1 {
-				t.Errorf("%s/%s: live/written ratio %.4f not reduced", row.Backend, row.Mode, row.Ratio)
+				t.Errorf("%s: live/written ratio %.4f not reduced", row.Mode, row.Ratio)
 			}
 			if row.Mode == "durable" && !row.Recovered {
-				t.Errorf("%s: durable cell did not record recovery", row.Backend)
+				t.Error("durable cell did not record recovery")
 			}
 			if row.Mode == "swept" && row.StatsSHA == "" {
-				t.Errorf("%s: swept cell missing stats fingerprint", row.Backend)
+				t.Error("swept cell missing stats fingerprint")
 			}
 		case "unswept":
 			if row.ReclaimedVersions != 0 {
-				t.Errorf("%s/unswept: reclaimed %d versions with sweeps off", row.Backend, row.ReclaimedVersions)
+				t.Errorf("unswept: reclaimed %d versions with sweeps off", row.ReclaimedVersions)
 			}
 		default:
 			t.Errorf("unknown mode %q", row.Mode)
 		}
 		// expReclaim already fataled on any visible-map divergence;
 		// re-assert the modulo-reclaimed contract on the emitted rows.
-		if prev, ok := visible[row.Backend]; ok && prev != row.VisibleSHA {
-			t.Errorf("%s/%s: visible fingerprint diverged across modes", row.Backend, row.Mode)
+		if row.VisibleSHA != rows[0].VisibleSHA {
+			t.Errorf("%s: visible fingerprint diverged across modes", row.Mode)
 		}
-		visible[row.Backend] = row.VisibleSHA
 	}
 	md, err := os.ReadFile(summaryPath)
 	if err != nil {

@@ -5,7 +5,7 @@ package main
 // depth with the incremental reclaimer sweeping at every round barrier
 // (grace 0, so candidate sets are exact at the barrier), and the
 // experiment reports the live-set-vs-total-written bytes ratio at every
-// round checkpoint. Gates, per store backend:
+// round checkpoint. Gates:
 //
 //   - repeat: two swept runs produce identical stats + version-map
 //     fingerprints (reclamation is deterministic);
@@ -33,7 +33,6 @@ import (
 
 	"papyrus/internal/core"
 	"papyrus/internal/obs"
-	"papyrus/internal/oct"
 	"papyrus/internal/workload"
 )
 
@@ -43,7 +42,6 @@ var (
 	rcDepth    int
 	rcFanout   int
 	rcWorkers  int
-	rcBackends string
 	rcSweep    int
 	rcBudget   int
 	rcGrowth   float64
@@ -51,9 +49,8 @@ var (
 	rcOut      string
 )
 
-// reclaimRow is one (backend, mode) cell of BENCH_reclaim.json.
+// reclaimRow is one mode cell of BENCH_reclaim.json.
 type reclaimRow struct {
-	Backend  string `json:"backend"`
 	Mode     string `json:"mode"` // "swept", "unswept", or "durable"
 	Seed     int64  `json:"seed"`
 	Sessions int    `json:"sessions"`
@@ -97,8 +94,8 @@ func visibleMapSHA(text string) string {
 }
 
 // runReclaimCell drives one deep-rework soak. sweep arms barrier sweeps;
-// durable arms a WAL in a temp dir and returns its config for recovery.
-func runReclaimCell(backend string, sweep, durable bool) (reclaimRow, core.Config, string) {
+// durable arms a WAL in a temp dir and recovers the cell from it.
+func runReclaimCell(sweep, durable bool) reclaimRow {
 	w, err := workload.Generate(workload.Spec{
 		Profile:  "rework",
 		Seed:     rcSeed,
@@ -113,7 +110,6 @@ func runReclaimCell(backend string, sweep, durable bool) (reclaimRow, core.Confi
 		Workers:          rcWorkers,
 		DisableInference: true,
 		Metrics:          reg,
-		StoreBackend:     backend,
 		ReclaimGrace:     0,
 	}
 	var walDir string
@@ -153,7 +149,6 @@ func runReclaimCell(backend string, sweep, durable bool) (reclaimRow, core.Confi
 	vm := sys.Store.VersionMapText()
 	written := sys.Store.TotalWrittenBytes()
 	row := reclaimRow{
-		Backend:           backendName(backend),
 		Mode:              mode,
 		Seed:              rcSeed,
 		Sessions:          rcSessions,
@@ -188,23 +183,15 @@ func runReclaimCell(backend string, sweep, durable bool) (reclaimRow, core.Confi
 		must(err)
 		row.Recovered = rec.Store.Fingerprint() == preCrash
 		if !row.Recovered {
-			log.Fatalf("reclaim %s: recovery diverged (recovered %s, pre-crash %s)",
-				backendName(backend), rec.Store.Fingerprint()[:12], preCrash[:12])
+			log.Fatalf("reclaim: recovery diverged (recovered %s, pre-crash %s)",
+				rec.Store.Fingerprint()[:12], preCrash[:12])
 		}
 		must(rec.Close())
 		must(os.RemoveAll(walDir))
 	} else {
 		must(sys.Close())
 	}
-	return row, cfg, walDir
-}
-
-// backendName normalizes the empty default to its concrete name.
-func backendName(b string) string {
-	if b == "" {
-		return string(oct.DefaultBackend)
-	}
-	return b
+	return row
 }
 
 // expReclaim is E17. Fingerprint and recovery divergence are hard
@@ -214,77 +201,66 @@ func expReclaim() {
 	fmt.Println("## E17: bounded-memory soak — incremental reclamation under deep rework")
 	fmt.Printf("(seed %d, %d sessions, depth %d, fanout %d, sweep every %d round(s), budget %d)\n",
 		rcSeed, rcSessions, rcDepth, rcFanout, rcSweep, rcBudget)
-	fmt.Println("backend | mode | rounds | steps | written B | live B | ratio | reclaimed | gates")
+	fmt.Println("mode    | rounds | steps | written B | live B | ratio | reclaimed | gates")
 
-	var rows []reclaimRow
-	for _, backend := range strings.Split(rcBackends, ",") {
-		backend = strings.TrimSpace(backend)
-		if backend == "" {
-			continue
-		}
-		if _, err := oct.ParseBackend(backend); err != nil {
-			log.Fatal(err)
-		}
+	swept := runReclaimCell(true, false)
+	again := runReclaimCell(true, false)
+	if again.VersionSHA != swept.VersionSHA || again.StatsSHA != swept.StatsSHA {
+		log.Fatalf("reclaim: repeat run diverged (versions %s vs %s, stats %s vs %s)",
+			again.VersionSHA[:12], swept.VersionSHA[:12],
+			again.StatsSHA[:12], swept.StatsSHA[:12])
+	}
+	unswept := runReclaimCell(false, false)
+	if unswept.VisibleSHA != swept.VisibleSHA {
+		log.Fatalf("reclaim: sweep changed the visible version map (%s vs %s)",
+			swept.VisibleSHA[:12], unswept.VisibleSHA[:12])
+	}
+	if unswept.Steps != swept.Steps {
+		log.Fatalf("reclaim: sweep changed completed steps (%d vs %d)",
+			swept.Steps, unswept.Steps)
+	}
+	durable := runReclaimCell(true, true)
+	if durable.VersionSHA != swept.VersionSHA {
+		log.Fatalf("reclaim: WAL-armed run diverged from volatile (%s vs %s)",
+			durable.VersionSHA[:12], swept.VersionSHA[:12])
+	}
 
-		swept, _, _ := runReclaimCell(backend, true, false)
-		again, _, _ := runReclaimCell(backend, true, false)
-		if again.VersionSHA != swept.VersionSHA || again.StatsSHA != swept.StatsSHA {
-			log.Fatalf("reclaim %s: repeat run diverged (versions %s vs %s, stats %s vs %s)",
-				swept.Backend, again.VersionSHA[:12], swept.VersionSHA[:12],
-				again.StatsSHA[:12], swept.StatsSHA[:12])
-		}
-		unswept, _, _ := runReclaimCell(backend, false, false)
-		if unswept.VisibleSHA != swept.VisibleSHA {
-			log.Fatalf("reclaim %s: sweep changed the visible version map (%s vs %s)",
-				swept.Backend, swept.VisibleSHA[:12], unswept.VisibleSHA[:12])
-		}
-		if unswept.Steps != swept.Steps {
-			log.Fatalf("reclaim %s: sweep changed completed steps (%d vs %d)",
-				swept.Backend, swept.Steps, unswept.Steps)
-		}
-		durable, _, _ := runReclaimCell(backend, true, true)
-		if durable.VersionSHA != swept.VersionSHA {
-			log.Fatalf("reclaim %s: WAL-armed run diverged from volatile (%s vs %s)",
-				swept.Backend, durable.VersionSHA[:12], swept.VersionSHA[:12])
-		}
-
-		// Bounded-memory gates on the swept reference. The ratio
-		// oscillates by design — every fourth OLAP chain is kept, so it
-		// steps up when one lands — so "non-growing" compares the peak
-		// over the soak's second half against the peak over its first
-		// half (both halves must contain kept rounds: depth >= 128).
-		n := len(swept.Checkpoints)
-		if rcGrowth > 0 && n >= 2 {
-			peak := func(cs []float64) float64 {
-				m := cs[0]
-				for _, c := range cs[1:] {
-					if c > m {
-						m = c
-					}
+	// Bounded-memory gates on the swept reference. The ratio oscillates
+	// by design — every fourth OLAP chain is kept, so it steps up when
+	// one lands — so "non-growing" compares the peak over the soak's
+	// second half against the peak over its first half (both halves
+	// must contain kept rounds: depth >= 128).
+	n := len(swept.Checkpoints)
+	if rcGrowth > 0 && n >= 2 {
+		peak := func(cs []float64) float64 {
+			m := cs[0]
+			for _, c := range cs[1:] {
+				if c > m {
+					m = c
 				}
-				return m
 			}
-			first, second := peak(swept.Checkpoints[:n/2]), peak(swept.Checkpoints[n/2:])
-			if second > first*rcGrowth {
-				gateFail("reclaim gate: %s live/written ratio peak grew %.4f -> %.4f (limit %.2fx)",
-					swept.Backend, first, second, rcGrowth)
-			}
+			return m
 		}
-		if rcMaxRatio > 0 && swept.Ratio > rcMaxRatio {
-			gateFail("reclaim gate: %s final live/written ratio %.4f exceeds ceiling %.4f",
-				swept.Backend, swept.Ratio, rcMaxRatio)
+		first, second := peak(swept.Checkpoints[:n/2]), peak(swept.Checkpoints[n/2:])
+		if second > first*rcGrowth {
+			gateFail("reclaim gate: live/written ratio peak grew %.4f -> %.4f (limit %.2fx)",
+				first, second, rcGrowth)
 		}
+	}
+	if rcMaxRatio > 0 && swept.Ratio > rcMaxRatio {
+		gateFail("reclaim gate: final live/written ratio %.4f exceeds ceiling %.4f",
+			swept.Ratio, rcMaxRatio)
+	}
 
-		for _, r := range []reclaimRow{swept, unswept, durable} {
-			gate := "ok"
-			if r.Mode == "durable" {
-				gate = "ok (recovered)"
-			}
-			fmt.Printf("%-7s | %-7s | %6d | %5d | %9d | %6d | %.4f | %9d | %s\n",
-				r.Backend, r.Mode, r.Rounds, r.Steps, r.WrittenBytes, r.LiveBytes, r.Ratio,
-				r.ReclaimedVersions, gate)
+	rows := []reclaimRow{swept, unswept, durable}
+	for _, r := range rows {
+		gate := "ok"
+		if r.Mode == "durable" {
+			gate = "ok (recovered)"
 		}
-		rows = append(rows, swept, unswept, durable)
+		fmt.Printf("%-7s | %6d | %5d | %9d | %6d | %.4f | %9d | %s\n",
+			r.Mode, r.Rounds, r.Steps, r.WrittenBytes, r.LiveBytes, r.Ratio,
+			r.ReclaimedVersions, gate)
 	}
 
 	f, err := os.Create(rcOut)
@@ -306,11 +282,11 @@ func expReclaim() {
 
 	var md strings.Builder
 	md.WriteString("### E17 reclaim: bounded-memory soak under deep rework\n\n")
-	md.WriteString("| backend | mode | rounds | steps | written B | live B | ratio | reclaimed versions | reclaimed B |\n")
-	md.WriteString("|:---|:---|---:|---:|---:|---:|---:|---:|---:|\n")
+	md.WriteString("| mode | rounds | steps | written B | live B | ratio | reclaimed versions | reclaimed B |\n")
+	md.WriteString("|:---|---:|---:|---:|---:|---:|---:|---:|\n")
 	for _, r := range rows {
-		fmt.Fprintf(&md, "| %s | %s | %d | %d | %d | %d | %.4f | %d | %d |\n",
-			r.Backend, r.Mode, r.Rounds, r.Steps, r.WrittenBytes, r.LiveBytes, r.Ratio,
+		fmt.Fprintf(&md, "| %s | %d | %d | %d | %d | %.4f | %d | %d |\n",
+			r.Mode, r.Rounds, r.Steps, r.WrittenBytes, r.LiveBytes, r.Ratio,
 			r.ReclaimedVersions, r.ReclaimedBytes)
 	}
 	md.WriteString("\n")

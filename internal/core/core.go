@@ -63,11 +63,6 @@ type Config struct {
 	// striped-apply invariance matrix runs 1 vs 64 to prove the stripe
 	// count is unobservable in stats, traces, and version maps.
 	StoreStripes int
-	// StoreBackend selects the object store's version-index backend:
-	// "map" (default), "btree", or "lsm" (docs/STORAGE.md). The
-	// differential harness and the E16 experiment prove the backends
-	// observationally identical, so this is purely a performance choice.
-	StoreBackend string
 	// NodeSpeeds optionally sets per-node relative CPU speeds.
 	NodeSpeeds []float64
 	// SweepEvery runs the background object reclaimer at this virtual
@@ -164,16 +159,9 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := oct.NewStoreWithOptions(oct.Options{
-		Stripes: cfg.StoreStripes,
-		Backend: oct.Backend(cfg.StoreBackend),
-	})
-	if err != nil {
-		return nil, err
-	}
 	s := &System{
 		Suite:   cad.NewSuite(),
-		Store:   store,
+		Store:   oct.NewStoreWithStripes(cfg.StoreStripes),
 		Cluster: cluster,
 		Metrics: cfg.Metrics,
 		Trace:   cfg.Trace,

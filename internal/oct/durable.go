@@ -221,18 +221,7 @@ func (s *Store) applyWALCommit(c walCommit) (bool, error) {
 // report how much log was read and how many trailing bytes a crashed
 // writer left unusable.
 func Recover(snapshot io.Reader, walDir string, metrics *obs.Registry) (*Store, wal.ReplayStats, error) {
-	return RecoverWithOptions(snapshot, walDir, metrics, Options{})
-}
-
-// RecoverWithOptions is Recover into a store configured by opts — the
-// path a B+tree or LSM deployment recovers through. Snapshot format and
-// store backend are independent: Restore sniffs JSON vs paged bytes, so
-// any backend recovers from any backend's checkpoint.
-func RecoverWithOptions(snapshot io.Reader, walDir string, metrics *obs.Registry, opts Options) (*Store, wal.ReplayStats, error) {
-	s, err := NewStoreWithOptions(opts)
-	if err != nil {
-		return nil, wal.ReplayStats{}, err
-	}
+	s := NewStore()
 	if snapshot != nil {
 		if err := s.Restore(snapshot); err != nil {
 			return nil, wal.ReplayStats{}, err

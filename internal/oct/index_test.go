@@ -1,22 +1,13 @@
 package oct
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
+	"sync"
 	"testing"
 )
 
-// Unit tests at the VersionIndex level: the slot/hole contract every
-// backend must honor, exercised directly against each implementation,
-// plus the paged checkpoint's failure modes.
-
-func eachIndex(t *testing.T, fn func(t *testing.T, ix VersionIndex)) {
-	for _, b := range Backends() {
-		b := b
-		t.Run(string(b), func(t *testing.T) { fn(t, newIndex(b)) })
-	}
-}
+// Unit tests at the index level: the slot/hole contract of mapIndex,
+// exercised directly, plus the store's locking discipline around it.
 
 func testObj(name string, version int, payload string) *Object {
 	return &Object{Name: name, Version: version, Type: TypeText, Data: Text(payload), visible: true}
@@ -25,7 +16,9 @@ func testObj(name string, version int, payload string) *Object {
 // TestIndexHoleContract: deletion leaves a hole — the chain keeps its
 // length, Latest skips holes, and the next Append never reuses a slot.
 func TestIndexHoleContract(t *testing.T) {
-	eachIndex(t, func(t *testing.T, ix VersionIndex) {
+	// The subtest is named for the map version index it runs on.
+	t.Run("map", func(t *testing.T) {
+		ix := newMapIndex()
 		for v := 1; v <= 3; v++ {
 			obj := testObj("/a", 0, fmt.Sprintf("v%d", v))
 			if got := ix.Append(obj); got != v {
@@ -66,7 +59,9 @@ func TestIndexHoleContract(t *testing.T) {
 // TestIndexSparsePut: a Put at an explicit slot beyond the chain (the
 // WAL-replay shape) extends the chain without materializing the gap.
 func TestIndexSparsePut(t *testing.T) {
-	eachIndex(t, func(t *testing.T, ix VersionIndex) {
+	// The subtest is named for the map version index it runs on.
+	t.Run("map", func(t *testing.T) {
+		ix := newMapIndex()
 		ix.Put(testObj("/sparse", 5, "v5"))
 		if got := ix.ChainLen("/sparse"); got != 5 {
 			t.Errorf("ChainLen = %d, want 5", got)
@@ -93,7 +88,9 @@ func TestIndexSparsePut(t *testing.T) {
 
 // TestIndexScanBounds: lo/hi clamping and the hi<=0 unbounded case.
 func TestIndexScanBounds(t *testing.T) {
-	eachIndex(t, func(t *testing.T, ix VersionIndex) {
+	// The subtest is named for the map version index it runs on.
+	t.Run("map", func(t *testing.T) {
+		ix := newMapIndex()
 		for v := 1; v <= 6; v++ {
 			ix.Append(testObj("/scan", 0, fmt.Sprintf("v%d", v)))
 		}
@@ -131,13 +128,15 @@ func TestIndexScanBounds(t *testing.T) {
 	})
 }
 
-// TestIndexStructuralStress pushes enough keys through each backend to
-// force B+tree node splits across multiple levels and LSM flushes plus
-// compactions, then verifies ordered enumeration survives intact.
+// TestIndexStructuralStress pushes many names and versions through the
+// index, punches holes through every chain, and verifies enumeration
+// and chain lengths survive intact.
 func TestIndexStructuralStress(t *testing.T) {
-	eachIndex(t, func(t *testing.T, ix VersionIndex) {
+	// The subtest is named for the map version index it runs on.
+	t.Run("map", func(t *testing.T) {
+		ix := newMapIndex()
 		const names = 40
-		const versions = 60 // names*versions >> leafCap*branchCap forces depth; >> lsmMemCap*lsmMaxRuns forces compaction
+		const versions = 60
 		for v := 1; v <= versions; v++ {
 			for n := 0; n < names; n++ {
 				name := fmt.Sprintf("/stress/n%03d", n)
@@ -170,14 +169,6 @@ func TestIndexStructuralStress(t *testing.T) {
 		if seen != wantLive {
 			t.Fatalf("Range visited %d, want %d", seen, wantLive)
 		}
-		entries := sortedIndexEntries(ix)
-		for i := 1; i < len(entries); i++ {
-			a, b := entries[i-1], entries[i]
-			if a.Name > b.Name || (a.Name == b.Name && a.Version >= b.Version) {
-				t.Fatalf("sortedIndexEntries out of order at %d: %s@%d then %s@%d",
-					i, a.Name, a.Version, b.Name, b.Version)
-			}
-		}
 		for n := 0; n < names; n++ {
 			name := fmt.Sprintf("/stress/n%03d", n)
 			if got := ix.ChainLen(name); got != versions {
@@ -187,116 +178,51 @@ func TestIndexStructuralStress(t *testing.T) {
 	})
 }
 
-// pagedStore builds a small btree-backed store for page-format tests.
-func pagedStore(t *testing.T, backend Backend) *Store {
-	t.Helper()
-	s, err := NewStoreWithOptions(Options{Stripes: 4, Backend: backend})
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayHistory(t, 77, s)
-	return s
-}
-
-// TestPagedSnapshotJumboEntry: a payload bigger than one page gets a
-// multi-page jumbo frame and round-trips intact.
-func TestPagedSnapshotJumboEntry(t *testing.T) {
-	for _, backend := range []Backend{BackendBTree, BackendLSM} {
-		t.Run(string(backend), func(t *testing.T) {
-			s, err := NewStoreWithOptions(Options{Backend: backend})
-			if err != nil {
-				t.Fatal(err)
-			}
-			big := Text(strings.Repeat("jumbo-", 3*pageSize/6))
-			if _, err := s.Put("/big", TypeText, big, "test"); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Put("/small", TypeText, Text("s"), "test"); err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := s.Snapshot(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if buf.Len()%pageSize != 0 {
-				t.Fatalf("snapshot length %d is not a page multiple", buf.Len())
-			}
-			restored, err := NewStoreWithOptions(Options{Backend: backend})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := restored.Restore(&buf); err != nil {
-				t.Fatal(err)
-			}
-			obj, err := restored.Get(Ref{Name: "/big"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if obj.Data != big {
-				t.Error("jumbo payload corrupted through page round-trip")
-			}
-		})
-	}
-}
-
-// TestPagedSnapshotCorruption: framing damage must error, never panic
-// or silently misread — the non-fuzz companion to FuzzIndexPageDecode.
-func TestPagedSnapshotCorruption(t *testing.T) {
-	s := pagedStore(t, BackendBTree)
-	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-	if _, err := decodePagedSnapshot(good); err != nil {
-		t.Fatalf("pristine snapshot rejected: %v", err)
-	}
-	fresh := func() *Store {
-		st, err := NewStoreWithOptions(Options{Backend: BackendBTree})
-		if err != nil {
-			t.Fatal(err)
+// TestBackendConcurrentSmoke hammers one store from parallel goroutines
+// under the stripe locks — overlapping and disjoint names, puts, reads,
+// and transactions — and checks the single-assignment invariant held.
+// Run under -race this is the locking-discipline proof for the index.
+func TestBackendConcurrentSmoke(t *testing.T) {
+	// The subtest is named for the map version index it runs on.
+	t.Run("map", func(t *testing.T) {
+		s := NewStore()
+		const goroutines = 4
+		const perG = 300
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			g := g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				private := fmt.Sprintf("/smoke/own%d", g)
+				for i := 0; i < perG; i++ {
+					if _, err := s.Put("/smoke/shared", TypeText, Text("s"), "smoke"); err != nil {
+						t.Error(err)
+						return
+					}
+					txn := s.Begin()
+					if _, err := txn.Put(private, TypeText, Text(fmt.Sprintf("p%d", i)), "smoke"); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := txn.Commit(); err != nil {
+						t.Error(err)
+						return
+					}
+					_, _ = s.Get(Ref{Name: "/smoke/shared"})
+					_ = s.Chain("/smoke/shared", 1, 0)
+				}
+			}()
 		}
-		return st
-	}
-
-	t.Run("truncated", func(t *testing.T) {
-		for _, cut := range []int{len(good) - 1, len(good) - pageSize, pageSize / 2, 1} {
-			if err := fresh().Restore(bytes.NewReader(good[:cut])); err == nil {
-				t.Errorf("truncation at %d accepted", cut)
+		wg.Wait()
+		if got := s.LatestVersion("/smoke/shared"); got != goroutines*perG {
+			t.Errorf("shared chain %d, want %d", got, goroutines*perG)
+		}
+		for g := 0; g < goroutines; g++ {
+			name := fmt.Sprintf("/smoke/own%d", g)
+			if got := s.LatestVersion(name); got != perG {
+				t.Errorf("%s chain %d, want %d", name, got, perG)
 			}
-		}
-	})
-	t.Run("bitflips", func(t *testing.T) {
-		// Flip a bit in every region of the file: header fields, payload,
-		// padding, and across page boundaries.
-		for off := 0; off < len(good); off += 97 {
-			bad := append([]byte(nil), good...)
-			bad[off] ^= 0x10
-			if err := fresh().Restore(bytes.NewReader(bad)); err == nil {
-				t.Fatalf("bit flip at offset %d accepted", off)
-			}
-		}
-	})
-	t.Run("reordered-pages", func(t *testing.T) {
-		if len(good) < 3*pageSize {
-			t.Skip("snapshot too small to reorder")
-		}
-		bad := append([]byte(nil), good...)
-		copy(bad[pageSize:2*pageSize], good[2*pageSize:3*pageSize])
-		copy(bad[2*pageSize:3*pageSize], good[pageSize:2*pageSize])
-		if err := fresh().Restore(bytes.NewReader(bad)); err == nil {
-			t.Error("swapped pages accepted")
-		}
-	})
-	t.Run("empty", func(t *testing.T) {
-		if _, err := decodePagedSnapshot(nil); err == nil {
-			t.Error("empty input accepted")
-		}
-	})
-	t.Run("meta-only-backend-check", func(t *testing.T) {
-		bad := appendMetaPage(nil, BackendMap, 1, 0)
-		if _, err := decodePagedSnapshot(bad); err == nil {
-			t.Error("meta page naming a non-paged backend accepted")
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package oct
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -29,6 +30,23 @@ func TestStripedStoreEquivalence(t *testing.T) {
 			replayHistory(t, seed, single)
 			replayHistory(t, seed, striped)
 			compareStores(t, single, striped)
+			// The snapshot is independent of stripe layout and restores
+			// into any stripe count.
+			var a, b bytes.Buffer
+			if err := single.Snapshot(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := striped.Snapshot(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatal("snapshots differ between 1 and 64 stripes")
+			}
+			restored := NewStoreWithStripes(16)
+			if err := restored.Restore(&a); err != nil {
+				t.Fatal(err)
+			}
+			compareStores(t, single, restored)
 		})
 	}
 }

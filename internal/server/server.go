@@ -59,9 +59,6 @@ type Config struct {
 	// Workers sizes each session's task-manager worker pool
 	// (core.Config.Workers).
 	Workers int
-	// StoreBackend selects each shard's object-store version-index
-	// backend (core.Config.StoreBackend): "map", "btree", or "lsm".
-	StoreBackend string
 	// ExtraTemplates overlays TDL templates on every shard.
 	ExtraTemplates map[string]string
 	// Memo arms a per-shard step-result cache (docs/CACHING.md).
@@ -158,7 +155,6 @@ func New(cfg Config) (*Server, error) {
 		sysCfg := core.Config{
 			Nodes:            cfg.Nodes,
 			Workers:          cfg.Workers,
-			StoreBackend:     cfg.StoreBackend,
 			ExtraTemplates:   cfg.ExtraTemplates,
 			DisableInference: cfg.DisableInference,
 			Fault:            cfg.Fault,

@@ -67,8 +67,7 @@ func filteredStats(t *testing.T, reg *obs.Registry) string {
 
 // runMemoColdCell executes 6 disjoint fan-out sessions and returns the
 // deterministic exports (filtered stats, version map, merged trace).
-// backend selects the store's version index ("" = default map).
-func runMemoColdCell(t *testing.T, workers int, withMemo bool, backend string) (stats, versions, trace string) {
+func runMemoColdCell(t *testing.T, workers int, withMemo bool) (stats, versions, trace string) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer()
@@ -77,7 +76,6 @@ func runMemoColdCell(t *testing.T, workers int, withMemo bool, backend string) (
 		DisableInference: true,
 		Metrics:          reg,
 		Trace:            tracer,
-		StoreBackend:     backend,
 		ExtraTemplates:   map[string]string{"Fanout4": memoFanoutTpl},
 	}
 	if withMemo {
@@ -135,13 +133,13 @@ func runMemoColdCell(t *testing.T, workers int, withMemo bool, backend string) (
 }
 
 func TestMemoMatrixColdRunInvariant(t *testing.T) {
-	baseStats, baseVersions, baseTrace := runMemoColdCell(t, 1, false, "")
+	baseStats, baseVersions, baseTrace := runMemoColdCell(t, 1, false)
 	for _, workers := range []int{1, 4, 16} {
 		for _, withMemo := range []bool{false, true} {
 			if workers == 1 && !withMemo {
 				continue
 			}
-			stats, versions, trace := runMemoColdCell(t, workers, withMemo, "")
+			stats, versions, trace := runMemoColdCell(t, workers, withMemo)
 			if stats != baseStats {
 				t.Errorf("workers=%d memo=%v: filtered stats diverge:\n%s\nvs\n%s", workers, withMemo, stats, baseStats)
 			}
@@ -153,32 +151,16 @@ func TestMemoMatrixColdRunInvariant(t *testing.T) {
 			}
 		}
 	}
-	// Backend dimension: the indexed version stores are pure observers of
-	// the same contract — every export byte-identical to the map-backed
-	// reference cell (docs/STORAGE.md).
-	for _, backend := range oct.Backends() {
-		stats, versions, trace := runMemoColdCell(t, 4, true, string(backend))
-		if stats != baseStats {
-			t.Errorf("backend %s: filtered stats diverge from the map reference", backend)
-		}
-		if versions != baseVersions {
-			t.Errorf("backend %s: version map diverges:\n%s\nvs\n%s", backend, versions, baseVersions)
-		}
-		if trace != baseTrace {
-			t.Errorf("backend %s: merged trace diverges", backend)
-		}
-	}
 }
 
 // replayWorkload runs Fanout4 plus the intermediate chain in one thread,
 // moves the cursor back to the initial state, and redoes both records.
 // Returns the system and the full (unfiltered) stats export.
-func replayWorkload(t *testing.T, workers int, withMemo bool, backend string) (*core.System, string) {
+func replayWorkload(t *testing.T, workers int, withMemo bool) (*core.System, string) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	cfg := core.Config{
 		Nodes: 4, Workers: workers, DisableInference: true, Metrics: reg,
-		StoreBackend:   backend,
 		ExtraTemplates: map[string]string{"Fanout4": memoFanoutTpl, "MemoChain": memoChainTpl},
 	}
 	if withMemo {
@@ -238,7 +220,7 @@ func TestMemoMatrixReplayInvariant(t *testing.T) {
 	for _, withMemo := range []bool{false, true} {
 		var wantStats string
 		for _, workers := range []int{1, 4, 16} {
-			sys, stats := replayWorkload(t, workers, withMemo, "")
+			sys, stats := replayWorkload(t, workers, withMemo)
 			versions := sys.Store.VersionMapText()
 			// The version map is the cross-setting contract: hit-served
 			// replay must land the store in the byte-identical state.
@@ -259,14 +241,6 @@ func TestMemoMatrixReplayInvariant(t *testing.T) {
 			}
 		}
 	}
-	// Backend dimension on one memoized cell: a hit-served redo must land
-	// the btree- and lsm-indexed stores in the identical state.
-	for _, backend := range oct.Backends() {
-		sys, _ := replayWorkload(t, 4, true, string(backend))
-		if versions := sys.Store.VersionMapText(); versions != wantVersions {
-			t.Errorf("backend %s: replay version map diverges:\n%s\nvs\n%s", backend, versions, wantVersions)
-		}
-	}
 }
 
 // reclaimRedo seeds the replay workload, erases the whole thread back to
@@ -275,12 +249,11 @@ func TestMemoMatrixReplayInvariant(t *testing.T) {
 // invalidate every entry keyed by a reclaimed version — the redo may not
 // serve a single hit whose outputs no longer exist — and the final store
 // must be byte-identical to the memo-off flow.
-func reclaimRedo(t *testing.T, workers int, withMemo bool, backend string) string {
+func reclaimRedo(t *testing.T, workers int, withMemo bool) string {
 	t.Helper()
 	reg := obs.NewRegistry()
 	cfg := core.Config{
 		Nodes: 4, Workers: workers, DisableInference: true, Metrics: reg,
-		StoreBackend:   backend,
 		ExtraTemplates: map[string]string{"Fanout4": memoFanoutTpl, "MemoChain": memoChainTpl},
 	}
 	if withMemo {
@@ -339,12 +312,12 @@ func reclaimRedo(t *testing.T, workers int, withMemo bool, backend string) strin
 // physically reclaiming versions must invalidate every cache entry keyed
 // by them, so a redo over reclaimed ground re-executes instead of serving
 // hits that reference deleted versions (docs/RECLAIM.md). Checked at two
-// worker counts and across every version-index backend.
+// worker counts.
 func TestMemoReclaimCoherence(t *testing.T) {
 	var want string
 	for _, workers := range []int{1, 4} {
 		for _, withMemo := range []bool{false, true} {
-			got := reclaimRedo(t, workers, withMemo, "")
+			got := reclaimRedo(t, workers, withMemo)
 			if want == "" {
 				want = got
 			} else if got != want {
@@ -353,25 +326,19 @@ func TestMemoReclaimCoherence(t *testing.T) {
 			}
 		}
 	}
-	for _, backend := range oct.Backends() {
-		if got := reclaimRedo(t, 4, true, string(backend)); got != want {
-			t.Errorf("backend %s: version map diverges:\n--- want ---\n%s--- got ---\n%s", backend, want, got)
-		}
-	}
 }
 
 // crashRedo runs the replay workload under write-ahead logging, abandons
 // the system without Close (the crash — any populated cache dies with the
 // process), recovers with the same config shape, moves the cursor back,
 // redoes every task record, and returns the final store map and system.
-func crashRedo(t *testing.T, withMemo bool, backend string) (string, *core.System) {
+func crashRedo(t *testing.T, withMemo bool) (string, *core.System) {
 	t.Helper()
 	walDir := t.TempDir()
 	mkConfig := func() core.Config {
 		cfg := core.Config{
 			Nodes: 4, DisableInference: true,
 			Metrics:        obs.NewRegistry(),
-			StoreBackend:   backend,
 			ExtraTemplates: map[string]string{"Fanout4": memoFanoutTpl, "MemoChain": memoChainTpl},
 			Durability:     &core.DurabilityConfig{Dir: walDir, FsyncEvery: 1},
 		}
@@ -418,28 +385,26 @@ func crashRedo(t *testing.T, withMemo bool, backend string) (string, *core.Syste
 // TestMemoCrashRecovery: crash after a memoized WAL-armed run (no Close),
 // recover with a fresh cache, and verify WarmMemo makes the post-crash
 // redo all-hits with a store byte-identical to the memo-off flow through
-// the identical crash-and-recover path. Runs once per version-index
-// backend: the crash path must not depend on the store's index.
+// the identical crash-and-recover path.
 func TestMemoCrashRecovery(t *testing.T) {
-	for _, backend := range oct.Backends() {
-		t.Run(string(backend), func(t *testing.T) {
-			wantVersions, _ := crashRedo(t, false, string(backend))
-			gotVersions, sys := crashRedo(t, true, string(backend))
+	// The subtest is named for the map version index it runs on.
+	t.Run("map", func(t *testing.T) {
+		wantVersions, _ := crashRedo(t, false)
+		gotVersions, sys := crashRedo(t, true)
 
-			// Recovery rebuilt the fresh cache from the recovered history alone.
-			if warmed := sys.Metrics.Counter("memo.warm"); warmed != 7 {
-				t.Fatalf("memo.warm = %d, want 7 (4 fan-out + 3 chain steps)", warmed)
-			}
-			if hits := sys.Metrics.Counter("memo.hit"); hits != 7 {
-				t.Errorf("post-crash redo produced %d hits, want 7", hits)
-			}
-			if misses := sys.Metrics.Counter("memo.miss"); misses != 0 {
-				t.Errorf("post-crash redo produced %d misses, want 0", misses)
-			}
-			if gotVersions != wantVersions {
-				t.Errorf("post-crash redo store differs from the memo-off reference:\n--- want ---\n%s--- got ---\n%s",
-					wantVersions, gotVersions)
-			}
-		})
-	}
+		// Recovery rebuilt the fresh cache from the recovered history alone.
+		if warmed := sys.Metrics.Counter("memo.warm"); warmed != 7 {
+			t.Fatalf("memo.warm = %d, want 7 (4 fan-out + 3 chain steps)", warmed)
+		}
+		if hits := sys.Metrics.Counter("memo.hit"); hits != 7 {
+			t.Errorf("post-crash redo produced %d hits, want 7", hits)
+		}
+		if misses := sys.Metrics.Counter("memo.miss"); misses != 0 {
+			t.Errorf("post-crash redo produced %d misses, want 0", misses)
+		}
+		if gotVersions != wantVersions {
+			t.Errorf("post-crash redo store differs from the memo-off reference:\n--- want ---\n%s--- got ---\n%s",
+				wantVersions, gotVersions)
+		}
+	})
 }

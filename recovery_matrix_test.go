@@ -179,9 +179,6 @@ func TestRecoveryMatrixKillAtEveryByte(t *testing.T) {
 		prev = end
 	}
 
-	// Every cut recovers into every version-index backend: replay is a
-	// store-level contract, not a property of the reference map index
-	// (docs/STORAGE.md).
 	scratch := t.TempDir()
 	for cut := range cuts {
 		dir := filepath.Join(scratch, fmt.Sprintf("cut-%06d", cut))
@@ -191,24 +188,22 @@ func TestRecoveryMatrixKillAtEveryByte(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "wal-00000001.log"), data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, backend := range oct.Backends() {
-			s, stats, err := oct.RecoverWithOptions(nil, dir, nil, oct.Options{Backend: backend})
-			if err != nil {
-				t.Fatalf("cut %d backend %s: recovery failed: %v", cut, backend, err)
+		s, stats, err := oct.Recover(nil, dir, nil)
+		if err != nil {
+			t.Fatalf("cut %d: recovery failed: %v", cut, err)
+		}
+		assertPrefixState(t, cut, full, s)
+		if cut == len(data) {
+			if got := s.VersionMapText(); got != fullMap {
+				t.Errorf("full log recovery differs from in-memory state:\n--- want ---\n%s--- got ---\n%s",
+					fullMap, got)
 			}
-			assertPrefixState(t, cut, full, s)
-			if cut == len(data) {
-				if got := s.VersionMapText(); got != fullMap {
-					t.Errorf("backend %s: full log recovery differs from in-memory state:\n--- want ---\n%s--- got ---\n%s",
-						backend, fullMap, got)
-				}
-				if stats.Truncated != 0 {
-					t.Errorf("backend %s: full log reported %d truncated bytes", backend, stats.Truncated)
-				}
+			if stats.Truncated != 0 {
+				t.Errorf("full log reported %d truncated bytes", stats.Truncated)
 			}
 		}
 	}
-	t.Logf("recovered %d cuts x %d backends over %d records (%d bytes)", len(cuts), len(oct.Backends()), len(recs), len(data))
+	t.Logf("recovered %d cuts over %d records (%d bytes)", len(cuts), len(recs), len(data))
 }
 
 // TestRecoveryMatrixWithReclaim is the reclaim dimension of the matrix:
@@ -220,8 +215,7 @@ func TestRecoveryMatrixKillAtEveryByte(t *testing.T) {
 // converges byte-for-byte with a direct replay of the cut's valid
 // records, re-applying the same records is a no-op (reclaim replays
 // idempotently), no per-name duplicates ever appear, and the full log
-// recovers the exact pre-close state. Every cut recovers into every
-// version-index backend.
+// recovers the exact pre-close state.
 func TestRecoveryMatrixWithReclaim(t *testing.T) {
 	walDir := t.TempDir()
 	w, err := workload.Generate(workload.Spec{Profile: "rework", Seed: 7, Sessions: 2, Depth: 16, Fanout: 2})
@@ -286,64 +280,59 @@ func TestRecoveryMatrixWithReclaim(t *testing.T) {
 			t.Fatal(err)
 		}
 		prefix, _, _ := wal.Scan(data[:cut])
-		for _, backend := range oct.Backends() {
-			s, _, err := oct.RecoverWithOptions(nil, dir, nil, oct.Options{Backend: backend})
-			if err != nil {
-				t.Fatalf("cut %d backend %s: recovery failed: %v", cut, backend, err)
-			}
-			recovered := s.VersionMapText()
-			// Convergence: disk recovery equals a direct replay of the
-			// cut's valid records into a fresh store.
-			ref, err := oct.NewStoreWithOptions(oct.Options{Backend: backend})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range prefix {
-				if _, err := ref.ReplayWALRecord(r); err != nil {
-					t.Fatalf("cut %d backend %s: direct replay failed: %v", cut, backend, err)
-				}
-			}
-			if refMap := ref.VersionMapText(); refMap != recovered {
-				t.Errorf("cut %d backend %s: recovery diverges from direct replay:\n--- replay ---\n%s--- recovered ---\n%s",
-					cut, backend, refMap, recovered)
-			}
-			// Idempotence: re-applying the same records (the crash-retry
-			// shape) must not change the state — reclaim deletes included.
-			for _, r := range prefix {
-				if _, err := s.ReplayWALRecord(r); err != nil {
-					t.Fatalf("cut %d backend %s: re-replay failed: %v", cut, backend, err)
-				}
-			}
-			if again := s.VersionMapText(); again != recovered {
-				t.Errorf("cut %d backend %s: re-applying the prefix changed the state:\n--- first ---\n%s--- second ---\n%s",
-					cut, backend, recovered, again)
-			}
-			for _, name := range s.Names() {
-				seen := map[int]bool{}
-				for _, v := range s.Versions(name) {
-					if seen[v.Version] {
-						t.Errorf("cut %d backend %s: duplicate version %s@%d", cut, backend, name, v.Version)
-					}
-					seen[v.Version] = true
-				}
-			}
-			if cut == len(data) && recovered != fullMap {
-				t.Errorf("backend %s: full log recovery differs from pre-close state:\n--- want ---\n%s--- got ---\n%s",
-					backend, fullMap, recovered)
+		s, _, err := oct.Recover(nil, dir, nil)
+		if err != nil {
+			t.Fatalf("cut %d: recovery failed: %v", cut, err)
+		}
+		recovered := s.VersionMapText()
+		// Convergence: disk recovery equals a direct replay of the cut's
+		// valid records into a fresh store.
+		ref := oct.NewStore()
+		for _, r := range prefix {
+			if _, err := ref.ReplayWALRecord(r); err != nil {
+				t.Fatalf("cut %d: direct replay failed: %v", cut, err)
 			}
 		}
+		if refMap := ref.VersionMapText(); refMap != recovered {
+			t.Errorf("cut %d: recovery diverges from direct replay:\n--- replay ---\n%s--- recovered ---\n%s",
+				cut, refMap, recovered)
+		}
+		// Idempotence: re-applying the same records (the crash-retry
+		// shape) must not change the state — reclaim deletes included.
+		for _, r := range prefix {
+			if _, err := s.ReplayWALRecord(r); err != nil {
+				t.Fatalf("cut %d: re-replay failed: %v", cut, err)
+			}
+		}
+		if again := s.VersionMapText(); again != recovered {
+			t.Errorf("cut %d: re-applying the prefix changed the state:\n--- first ---\n%s--- second ---\n%s",
+				cut, recovered, again)
+		}
+		for _, name := range s.Names() {
+			seen := map[int]bool{}
+			for _, v := range s.Versions(name) {
+				if seen[v.Version] {
+					t.Errorf("cut %d: duplicate version %s@%d", cut, name, v.Version)
+				}
+				seen[v.Version] = true
+			}
+		}
+		if cut == len(data) && recovered != fullMap {
+			t.Errorf("full log recovery differs from pre-close state:\n--- want ---\n%s--- got ---\n%s",
+				fullMap, recovered)
+		}
 	}
-	t.Logf("recovered %d cuts x %d backends over %d records (%d reclaim records, %d bytes)",
-		len(cuts), len(oct.Backends()), len(recs), reclaims, len(data))
+	t.Logf("recovered %d cuts over %d records (%d reclaim records, %d bytes)",
+		len(cuts), len(recs), reclaims, len(data))
 }
 
-// TestSnapshotPlusWALEqualsMemory is the compaction property: for every
+// TestSnapshotPlusWALMatchesMemory is the compaction property: for every
 // prefix length k, a snapshot of the first k records plus a replay of the
 // whole log reproduces the uninterrupted run's version map byte for byte
 // — overlapping records are skipped idempotently, missing ones are
 // applied. The workload runs at several worker counts; the map (and so
 // the property's fixed point) must not depend on the pool size.
-func TestSnapshotPlusWALEqualsMemory(t *testing.T) {
+func TestSnapshotPlusWALMatchesMemory(t *testing.T) {
 	var wantMap string
 	for _, workers := range []int{1, 8} {
 		walDir := t.TempDir()
@@ -361,18 +350,8 @@ func TestSnapshotPlusWALEqualsMemory(t *testing.T) {
 		if valid != len(data) {
 			t.Fatalf("workers=%d: log has invalid tail", workers)
 		}
-		// The snapshot backend rotates with k and recovery always lands on
-		// the next backend over, so every k exercises a paged or JSON
-		// snapshot being restored by a differently-indexed store — the
-		// format is self-describing (docs/STORAGE.md).
-		backends := oct.Backends()
 		for k := 0; k <= len(recs); k++ {
-			snapBackend := backends[k%len(backends)]
-			recoverBackend := backends[(k+1)%len(backends)]
-			base, err := oct.NewStoreWithOptions(oct.Options{Backend: snapBackend})
-			if err != nil {
-				t.Fatal(err)
-			}
+			base := oct.NewStore()
 			for _, r := range recs[:k] {
 				if _, err := base.ReplayWALRecord(r); err != nil {
 					t.Fatalf("workers=%d k=%d: building snapshot: %v", workers, k, err)
@@ -382,14 +361,13 @@ func TestSnapshotPlusWALEqualsMemory(t *testing.T) {
 			if err := base.Snapshot(&snap); err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := oct.RecoverWithOptions(&snap, walDir, nil, oct.Options{Backend: recoverBackend})
+			got, _, err := oct.Recover(&snap, walDir, nil)
 			if err != nil {
-				t.Fatalf("workers=%d k=%d: recovery failed (%s snapshot into %s store): %v",
-					workers, k, snapBackend, recoverBackend, err)
+				t.Fatalf("workers=%d k=%d: recovery failed: %v", workers, k, err)
 			}
 			if gotMap := got.VersionMapText(); gotMap != fullMap {
-				t.Errorf("workers=%d k=%d: %s snapshot + replay into %s differs from memory:\n--- want ---\n%s--- got ---\n%s",
-					workers, k, snapBackend, recoverBackend, fullMap, gotMap)
+				t.Errorf("workers=%d k=%d: snapshot + replay differs from memory:\n--- want ---\n%s--- got ---\n%s",
+					workers, k, fullMap, gotMap)
 			}
 		}
 	}

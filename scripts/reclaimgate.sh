@@ -4,7 +4,7 @@
 # bytes ratio must stay at or under the ceiling recorded in
 # scripts/reclaim_floor.txt. The soak itself hard-gates determinism —
 # repeat-run identity, the sweep-on/off modulo-reclaimed version map,
-# and full-log crash recovery across every store backend — and
+# and full-log crash recovery — and
 # soft-gates the ratio ceiling plus first-half-peak vs second-half-peak
 # non-growth (docs/RECLAIM.md, EXPERIMENTS.md E17).
 #
