@@ -174,7 +174,7 @@ func main() {
 	flag.Float64Var(&scaleAllocMax, "allocmax", 0, "fail (exit 1) if the largest scale cell allocates more than this many heap objects per step (implies -benchmem)")
 	flag.StringVar(&scaleOut, "scaleout", "BENCH_scale.json", "output file for the -exp scale table")
 	flag.BoolVar(&scaleWAL, "scalewal", false, "run -exp scale with write-ahead logging enabled (fresh log dir per cell); fingerprints must still match")
-	flag.Int64Var(&scaleFsync, "scalefsync", 1, "group-commit flush interval for -scalewal (<=1 fsyncs every append)")
+	flag.Int64Var(&scaleFsync, "scalefsync", 1, "group-commit flush interval for -scalewal (<=1 fsyncs once per acknowledged operation)")
 	flag.BoolVar(&scaleMemo, "memo", false, "run -exp scale with the step-result cache enabled (fresh cache per cell); fingerprints must still match")
 	flag.StringVar(&replayWorkers, "replayworkers", "1,8", "comma-separated worker counts for -exp replay")
 	flag.Float64Var(&replayMin, "replaymin", 0, "fail (exit 1) if the memo-on replay speedup at the largest worker count is below this")
@@ -878,6 +878,11 @@ func runScaleCell(sessions, workers int) scaleRow {
 					}
 					inputs[n] = oct.Ref{Name: obj.Name, Version: obj.Version}
 				}
+				// Direct store writes acknowledge themselves: one commit
+				// makes the four seed puts durable (a no-op without -scalewal).
+				if err := sys.Store.WAL().Commit(); err != nil {
+					return err
+				}
 				outputs := map[string]string{}
 				for _, o := range []string{"O1", "O2", "O3", "O4"} {
 					outputs[o] = fmt.Sprintf("/s%d/%s", s.Index, strings.ToLower(o))
@@ -885,6 +890,9 @@ func runScaleCell(sessions, workers int) scaleRow {
 				rec, err := s.Tasks.RunTask(task.Invocation{
 					Task: "Fanout4", Inputs: inputs, Outputs: outputs,
 				})
+				if cerr := sys.Store.WAL().Commit(); err == nil {
+					err = cerr
+				}
 				if err != nil {
 					return err
 				}

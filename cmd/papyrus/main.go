@@ -68,7 +68,7 @@ type shell struct {
 // survives a crash (docs/DURABILITY.md).
 var (
 	walDir     = flag.String("wal-dir", "", "write-ahead log directory; enables durability (docs/DURABILITY.md)")
-	fsyncEvery = flag.Int64("fsync-every", 1, "group-commit flush interval in virtual ticks (<=1 fsyncs every append)")
+	fsyncEvery = flag.Int64("fsync-every", 1, "group-commit flush interval in virtual ticks (<=1 fsyncs once per acknowledged operation)")
 	useMemo    = flag.Bool("memo", false, "enable the history-based step-result cache (docs/CACHING.md)")
 )
 

@@ -48,7 +48,7 @@ func main() {
 	workers := flag.Int("workers", 0, "tool-body worker pool size (0 = default; any value yields identical results)")
 	stepLatency := flag.Duration("steplatency", 0, "wall-clock latency injected per tool body, e.g. 2ms (models real tool spawn cost)")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory; enables durability (docs/DURABILITY.md)")
-	fsyncEvery := flag.Int64("fsync-every", 1, "group-commit flush interval in virtual ticks (<=1 fsyncs every append)")
+	fsyncEvery := flag.Int64("fsync-every", 1, "group-commit flush interval in virtual ticks (<=1 fsyncs once per acknowledged operation)")
 	useMemo := flag.Bool("memo", false, "enable the history-based step-result cache (docs/CACHING.md)")
 	flag.Parse()
 

@@ -87,9 +87,36 @@ func (m *Manager) SetFilter(taskNames ...string) {
 	}
 }
 
+// ack is the acknowledgement point of every manager operation that
+// returns to its caller. The operation's records — the store's version
+// batches included — were appended without waiting for the disk; ack
+// commits the log once (under strict durability one fsync, shared with
+// concurrent sessions), so the whole operation costs one flush however
+// many records it wrote. It returns the operation's own error first,
+// else the commit's. The manager and its store share one log (the store
+// holds the same one the manager appends to), so committing the store's
+// log covers both.
+func (m *Manager) ack(err error) error {
+	cerr := m.store.WAL().Commit()
+	if err != nil {
+		return err
+	}
+	return cerr
+}
+
 // NewThread creates an empty design thread: null control stream, null
 // workspace, cursor at the initial design point (§3.3.4.1).
 func (m *Manager) NewThread(name, owner string) *Thread {
+	t := m.newThread(name, owner)
+	// Creation of an empty thread is logged without its (null) stream;
+	// a failure here surfaces on the next stream-mutating operation.
+	_ = m.ack(nil)
+	return t
+}
+
+// newThread is NewThread without the acknowledgement commit, for the
+// operations that build on a fresh thread and commit once at the end.
+func (m *Manager) newThread(name, owner string) *Thread {
 	m.nextThread++
 	t := &Thread{
 		id:     m.nextThread,
@@ -101,8 +128,6 @@ func (m *Manager) NewThread(name, owner string) *Thread {
 	t.touch()
 	m.threads[t.id] = t
 	m.metrics.Inc("activity.thread.create")
-	// Creation of an empty thread is logged without its (null) stream;
-	// append failure here surfaces on the next stream-mutating operation.
 	_ = m.logThread("create", t, false)
 	return t
 }
@@ -120,14 +145,19 @@ func (m *Manager) Threads() []*Thread {
 // DropThread removes a thread from the manager.
 func (m *Manager) DropThread(t *Thread) {
 	delete(m.threads, t.id)
-	_ = m.logThread("drop", t, false)
+	_ = m.ack(m.logThread("drop", t, false))
 }
 
 // RestoreThread reinstates a persisted thread: its control stream, cursor
 // (by record ID; 0 means the initial point) and identity. Used by session
 // persistence; the restored thread gets a fresh manager-local ID.
 func (m *Manager) RestoreThread(name, owner string, stream *history.Stream, cursorID int) (*Thread, error) {
-	t := m.NewThread(name, owner)
+	t, err := m.restoreThread(name, owner, stream, cursorID)
+	return t, m.ack(err)
+}
+
+func (m *Manager) restoreThread(name, owner string, stream *history.Stream, cursorID int) (*Thread, error) {
+	t := m.newThread(name, owner)
 	t.stream = stream
 	if cursorID != 0 {
 		rec, ok := stream.ByID(cursorID)
@@ -151,8 +181,13 @@ func (m *Manager) RestoreThread(name, owner string, stream *history.Stream, curs
 // was saved with for the log tail to replay against it. id <= 0 falls
 // back to a fresh manager-local ID (pre-ID session files).
 func (m *Manager) ReinstateThread(id int, name, owner string, stream *history.Stream, cursorID int) (*Thread, error) {
+	t, err := m.reinstateThread(id, name, owner, stream, cursorID)
+	return t, m.ack(err)
+}
+
+func (m *Manager) reinstateThread(id int, name, owner string, stream *history.Stream, cursorID int) (*Thread, error) {
 	if id <= 0 {
-		return m.RestoreThread(name, owner, stream, cursorID)
+		return m.restoreThread(name, owner, stream, cursorID)
 	}
 	t := m.replayThread(id, name, owner)
 	t.name, t.owner = name, owner
@@ -194,7 +229,12 @@ func copyStream(s *history.Stream) (*history.Stream, error) {
 //
 // The fork evolves completely independently of src.
 func (m *Manager) ForkThread(src *Thread, at *history.Record, whole bool, name, owner string) (*Thread, error) {
-	t := m.NewThread(name, owner)
+	t, err := m.forkThread(src, at, whole, name, owner)
+	return t, m.ack(err)
+}
+
+func (m *Manager) forkThread(src *Thread, at *history.Record, whole bool, name, owner string) (*Thread, error) {
+	t := m.newThread(name, owner)
 	if src != nil {
 		m.metrics.Inc("activity.thread.fork")
 		args := map[string]string{"from": src.name}
@@ -269,10 +309,15 @@ func (m *Manager) ForkThread(src *Thread, at *history.Record, whole bool, name, 
 // frontier cursor of the leading thread. Both source threads continue to
 // exist independently; the result is a new thread.
 func (m *Manager) Cascade(lead, trail *Thread, connector *history.Record, name, owner string) (*Thread, error) {
+	t, err := m.cascade(lead, trail, connector, name, owner)
+	return t, m.ack(err)
+}
+
+func (m *Manager) cascade(lead, trail *Thread, connector *history.Record, name, owner string) (*Thread, error) {
 	if connector != nil && !isFrontier(lead.stream, connector) {
 		return nil, fmt.Errorf("activity: connector %d is not a frontier cursor of %q", connector.ID, lead.name)
 	}
-	t, err := m.ForkThread(lead, nil, true, name, owner)
+	t, err := m.forkThread(lead, nil, true, name, owner)
 	if err != nil {
 		return nil, err
 	}
@@ -312,6 +357,11 @@ func (m *Manager) Cascade(lead, trail *Thread, connector *history.Record, name, 
 // Join merges two threads at frontier connectors combined into a new
 // design point (§3.3.4.1, Figs 3.9/3.10 — the ALU thread).
 func (m *Manager) Join(a, b *Thread, connA, connB *history.Record, name, owner string) (*Thread, error) {
+	t, err := m.join(a, b, connA, connB, name, owner)
+	return t, m.ack(err)
+}
+
+func (m *Manager) join(a, b *Thread, connA, connB *history.Record, name, owner string) (*Thread, error) {
 	if connA == nil || connB == nil {
 		return nil, fmt.Errorf("activity: join requires connector points in both threads")
 	}
@@ -321,7 +371,7 @@ func (m *Manager) Join(a, b *Thread, connA, connB *history.Record, name, owner s
 	if !isFrontier(b.stream, connB) {
 		return nil, fmt.Errorf("activity: connector %d is not a frontier cursor of %q", connB.ID, b.name)
 	}
-	t, err := m.ForkThread(a, nil, true, name, owner)
+	t, err := m.forkThread(a, nil, true, name, owner)
 	if err != nil {
 		return nil, err
 	}
@@ -374,10 +424,10 @@ func isFrontier(s *history.Stream, rec *history.Record) bool {
 func (m *Manager) InvokeTask(t *Thread, taskName string, inputs map[string]string, outputs map[string]string, opts ...InvokeOption) (*history.Record, error) {
 	h := m.BeginTask(t)
 	rec, err := m.runTask(t, taskName, inputs, outputs, opts...)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		rec, err = m.attachRecord(t, h, rec)
 	}
-	return m.AttachRecord(t, h, rec)
+	return rec, m.ack(err)
 }
 
 // ReplayRecord re-invokes the task of an existing history record with the
@@ -390,6 +440,11 @@ func (m *Manager) InvokeTask(t *Thread, taskName string, inputs map[string]strin
 // without one it is an honest re-run. The new record attaches at the
 // thread's current cursor under the usual insertion-point convention.
 func (m *Manager) ReplayRecord(t *Thread, rec *history.Record) (*history.Record, error) {
+	redo, err := m.replayRecord(t, rec)
+	return redo, m.ack(err)
+}
+
+func (m *Manager) replayRecord(t *Thread, rec *history.Record) (*history.Record, error) {
 	ins, outs, err := m.tasks.TemplateIO(rec.TaskName)
 	if err != nil {
 		return nil, err
@@ -419,7 +474,7 @@ func (m *Manager) ReplayRecord(t *Thread, rec *history.Record) (*history.Record,
 		return nil, err
 	}
 	m.metrics.Inc("activity.record.replay")
-	return m.AttachRecord(t, h, newRec)
+	return m.attachRecord(t, h, newRec)
 }
 
 // InvokeOption tweaks a task invocation.
@@ -494,6 +549,11 @@ func (m *Manager) BeginTask(t *Thread) *PendingInvocation {
 // logical path; append at the path's end, or insert before the first
 // branch encountered.
 func (m *Manager) AttachRecord(t *Thread, h *PendingInvocation, rec *history.Record) (*history.Record, error) {
+	rec, err := m.attachRecord(t, h, rec)
+	return rec, m.ack(err)
+}
+
+func (m *Manager) attachRecord(t *Thread, h *PendingInvocation, rec *history.Record) (*history.Record, error) {
 	if h.thread != t {
 		return nil, fmt.Errorf("activity: invocation began on a different thread")
 	}
@@ -521,7 +581,7 @@ func (m *Manager) AttachRecord(t *Thread, h *PendingInvocation, rec *history.Rec
 	t.touch()
 	// Logged after the record is fully linked and placed so the payload
 	// captures its final edges and display cell; the attach is
-	// acknowledged only once the log append returns.
+	// acknowledged only once the caller's ack commits the log.
 	if err := m.logAttach(t, rec); err != nil {
 		return nil, err
 	}

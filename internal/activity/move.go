@@ -18,6 +18,11 @@ import (
 // MoveToSDS copies an object visible in the thread's data scope into a
 // synchronization data space.
 func (m *Manager) MoveToSDS(t *Thread, objName string, space *sds.Space) (oct.Ref, error) {
+	ref, err := m.moveToSDS(t, objName, space)
+	return ref, m.ack(err)
+}
+
+func (m *Manager) moveToSDS(t *Thread, objName string, space *sds.Space) (oct.Ref, error) {
 	ref, err := t.ResolveInput(objName)
 	if err != nil {
 		return oct.Ref{}, err
@@ -37,6 +42,11 @@ func (m *Manager) MoveToSDS(t *Thread, objName string, space *sds.Space) (oct.Re
 // workspace under destName, optionally leaving a notification flag with
 // predicates (§3.3.4.2). version 0 selects the newest contribution.
 func (m *Manager) MoveFromSDS(space *sds.Space, object string, version int, t *Thread, destName string, notifyFlag bool, preds ...sds.Predicate) (oct.Ref, error) {
+	ref, err := m.moveFromSDS(space, object, version, t, destName, notifyFlag, preds...)
+	return ref, m.ack(err)
+}
+
+func (m *Manager) moveFromSDS(space *sds.Space, object string, version int, t *Thread, destName string, notifyFlag bool, preds ...sds.Predicate) (oct.Ref, error) {
 	if destName == "" {
 		destName = object
 	}
@@ -61,7 +71,7 @@ func (m *Manager) MoveFromSDS(space *sds.Space, object string, version int, t *T
 		Outputs:  []oct.Ref{ref},
 	}
 	h := m.BeginTask(t)
-	if _, err := m.AttachRecord(t, h, rec); err != nil {
+	if _, err := m.attachRecord(t, h, rec); err != nil {
 		return oct.Ref{}, err
 	}
 	return ref, nil

@@ -82,6 +82,11 @@ func (t *Thread) Frontier() []*history.Record { return t.stream.Frontier() }
 // (§3.3.3). The target must be a design point of this thread, or nil for
 // the initial point.
 func (t *Thread) MoveCursor(rec *history.Record) error {
+	return t.mgr.ack(t.moveCursor(rec))
+}
+
+// moveCursor is MoveCursor without the acknowledgement commit.
+func (t *Thread) moveCursor(rec *history.Record) error {
 	if rec != nil {
 		if _, ok := t.stream.ByID(rec.ID); !ok {
 			return fmt.Errorf("activity: record %d is not in thread %q", rec.ID, t.name)
@@ -102,9 +107,16 @@ func (t *Thread) MoveCursor(rec *history.Record) error {
 
 // MoveCursorErasing moves the cursor to rec and erases all records on the
 // abandoned path below it (Fig 3.6's erase variant). It returns the object
-// versions that left the workspace, which the manager hides.
+// versions that left the workspace, which the manager hides. The cursor
+// record, the hides and the erase marker commit together, so the whole
+// erase costs one fsync under strict durability.
 func (t *Thread) MoveCursorErasing(rec *history.Record) ([]oct.Ref, error) {
-	if err := t.MoveCursor(rec); err != nil {
+	gone, err := t.moveCursorErasing(rec)
+	return gone, t.mgr.ack(err)
+}
+
+func (t *Thread) moveCursorErasing(rec *history.Record) ([]oct.Ref, error) {
+	if err := t.moveCursor(rec); err != nil {
 		return nil, err
 	}
 	var kids []*history.Record

@@ -21,7 +21,9 @@ import (
 )
 
 // AttachWAL installs the write-ahead log thread and stream changes are
-// appended to (nil detaches). Call before the manager is used.
+// appended to (nil detaches). Call before the manager is used, with the
+// log the manager's store is attached to: operations acknowledge by
+// committing the store's log, which then covers both record streams.
 func (m *Manager) AttachWAL(l *wal.Log) { m.wal = l }
 
 // walThreadOp is the RecThread payload: one thread lifecycle event.
@@ -85,13 +87,14 @@ func (m *Manager) logThread(op string, t *Thread, withStream bool) error {
 // stream as a "reclaim" thread op. Replay replaces the recovered stream
 // wholesale — the same idempotent full-stream path fork/cascade/join
 // use — so pruned records never resurrect after a crash; the version
-// hides the pass performed are logged by the store itself. No-op
-// without a manager or WAL.
+// hides the pass performed are logged by the store itself. It is the
+// pass's acknowledgement point: one commit makes the stream and those
+// hides durable together. No-op without a manager or WAL.
 func (t *Thread) LogReclaim() error {
 	if t.mgr == nil {
 		return nil
 	}
-	return t.mgr.logThread("reclaim", t, true)
+	return t.mgr.ack(t.mgr.logThread("reclaim", t, true))
 }
 
 // logAttach appends a record-attach entry; called after the record is

@@ -200,3 +200,72 @@ func TestHistoryRecoverSplice(t *testing.T) {
 	re := recoverEnv(t, dir)
 	compareThreads(t, e.mgr, re.mgr)
 }
+
+// TestLifecycleOpsCommitOnce: under strict durability each thread
+// operation — fork, cascade, join, an erasing rework — is one
+// acknowledgement. It appends several records (a fork logs its fresh
+// thread and its copied stream; cascade and join log a fork first; an
+// erase logs a cursor move, the hides and the erase marker) and must
+// return with all of them synced at the cost of at most one fsync.
+func TestLifecycleOpsCommitOnce(t *testing.T) {
+	l, err := wal.Open(wal.Options{Dir: t.TempDir(), SegmentBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	e := newEnv(t)
+	e.store.AttachWAL(l)
+	e.mgr.AttachWAL(l)
+
+	a := shifterThread(t, e)
+	b := e.mgr.NewThread("Arithmetic-unit", "mary")
+	e.seed(t, "/specs/adder", oct.TypeBehavioral, oct.Text(logic.AdderBehavior(2)))
+	if _, err := e.mgr.InvokeTask(b, "create-logic-description",
+		map[string]string{"Spec": "/specs/adder"},
+		map[string]string{"Outlogic": "adder.logic"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(); err != nil { // e.seed's direct puts
+		t.Fatal(err)
+	}
+
+	ops := []struct {
+		name string
+		run  func() error
+	}{
+		{"fork", func() error {
+			_, err := e.mgr.ForkThread(a, a.Stream().Roots()[0], false, "fork", "u")
+			return err
+		}},
+		{"cascade", func() error {
+			_, err := e.mgr.Cascade(a, b, a.Frontier()[0], "cascade", "u")
+			return err
+		}},
+		{"join", func() error {
+			_, err := e.mgr.Join(a, b, a.Frontier()[0], b.Frontier()[0], "ALU", "randy")
+			return err
+		}},
+		{"erasing rework", func() error {
+			gone, err := a.MoveCursorErasing(a.Stream().Roots()[0])
+			if err == nil && len(gone) == 0 {
+				err = fmt.Errorf("erase hid nothing")
+			}
+			return err
+		}},
+	}
+	for _, op := range ops {
+		fsyncs, appended := l.Fsyncs(), l.AppendedBytes()
+		if err := op.run(); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if l.AppendedBytes() == appended {
+			t.Errorf("%s appended nothing", op.name)
+		}
+		if s, a := l.SyncedBytes(), l.AppendedBytes(); s != a {
+			t.Errorf("%s returned with SyncedBytes() = %d, AppendedBytes() = %d", op.name, s, a)
+		}
+		if d := l.Fsyncs() - fsyncs; d != 1 {
+			t.Errorf("%s cost %d fsyncs, want 1", op.name, d)
+		}
+	}
+}

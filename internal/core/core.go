@@ -225,9 +225,13 @@ func New(cfg Config) (*System, error) {
 }
 
 // ImportObject checks an external object into the design database (the
-// seed specifications a design session starts from).
+// seed specifications a design session starts from). The import is
+// durable when ImportObject returns.
 func (s *System) ImportObject(name string, typ oct.Type, data oct.Value) (oct.Ref, error) {
 	obj, err := s.Store.Put(name, typ, data, "import")
+	if cerr := s.Store.WAL().Commit(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return oct.Ref{}, err
 	}
@@ -357,7 +361,11 @@ func (s *System) Rebuild(target oct.Ref) (oct.Ref, error) {
 	if s.Inference == nil {
 		return oct.Ref{}, fmt.Errorf("core: rebuild support requires the inference engine")
 	}
-	return rebuild.New(s.Suite, s.Store, s.Inference.Graph()).Rebuild(target)
+	ref, err := rebuild.New(s.Suite, s.Store, s.Inference.Graph()).Rebuild(target)
+	if cerr := s.Store.WAL().Commit(); err == nil {
+		err = cerr
+	}
+	return ref, err
 }
 
 // TableI regenerates the dissertation's Table I: the literature rows plus

@@ -3,10 +3,10 @@ package core
 // Durability: when Config.Durability is set, the System opens a shared
 // write-ahead log and attaches it to the object store and the activity
 // manager. Every committed version batch, thread lifecycle event, record
-// attach, and cursor move is appended before the operation is
-// acknowledged; SaveSession doubles as the checkpoint that compacts the
-// log. Recover rebuilds a System from the snapshot plus the log tail
-// after a crash (docs/DURABILITY.md).
+// attach, and cursor move is appended as it happens and committed once
+// before the operation is acknowledged; SaveSession doubles as the
+// checkpoint that compacts the log. Recover rebuilds a System from the
+// snapshot plus the log tail after a crash (docs/DURABILITY.md).
 
 import (
 	"bytes"
@@ -25,9 +25,11 @@ type DurabilityConfig struct {
 	// Dir holds the log segments. Empty disables durability.
 	Dir string
 	// FsyncEvery is the group-commit flush interval in virtual ticks:
-	// <= 1 fsyncs every append (strict commit-before-ack durability);
-	// larger values batch fsyncs, trading the tail of the log for
-	// throughput. Rotation, checkpointing, and Close always fsync.
+	// <= 1 fsyncs once per acknowledged operation (strict
+	// commit-before-ack durability: every record an operation appended
+	// is on disk before it returns); larger values batch fsyncs, trading
+	// the tail of the log for throughput. Rotation, checkpointing, and
+	// Close always fsync.
 	FsyncEvery int64
 	// SegmentBytes rotates log segments at this size;
 	// 0 selects wal.DefaultSegmentBytes.

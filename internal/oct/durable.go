@@ -2,11 +2,16 @@ package oct
 
 // Durability: the store appends one WAL record per committed version
 // batch — a transaction commit, a direct Put, a visibility change, or a
-// physical Remove — *before* the operation is acknowledged to its caller,
-// and while the touched stripe locks are still held. Holding the locks
-// across the append means WAL order agrees with version-assignment order
-// for any single name, so a crash at any byte leaves a per-name
-// contiguous committed prefix (docs/DURABILITY.md). Recovery restores the
+// physical Remove — while the touched stripe locks are still held.
+// Holding the locks across the append means WAL order agrees with
+// version-assignment order for any single name, so a crash at any byte
+// leaves a per-name contiguous committed prefix (docs/DURABILITY.md).
+// The append does not wait for the disk under strict durability: the
+// stripe locks are released first, and the operation that acknowledges
+// the caller — a task invocation, a rework, an import, a sweep — commits
+// the log once (wal.Log.Commit). A caller that mutates the store
+// directly acknowledges its own writes with Store.WAL().Commit(), which
+// is nil-safe. Recovery restores the
 // latest JSON snapshot (the checkpoint) and replays the log tail;
 // replay is idempotent — records already covered by the snapshot are
 // skipped by version slot — so the crash window between writing a
@@ -70,7 +75,8 @@ func marshalValue(typ Type, data Value) (json.RawMessage, error) {
 }
 
 // appendCommit writes one commit batch to the WAL. Callers hold the
-// stripe locks the batch touched.
+// stripe locks the batch touched; durability waits for the caller's
+// acknowledgement commit.
 func (s *Store) appendCommit(c walCommit) error {
 	c.Clock = s.clock.Load()
 	payload, err := json.Marshal(&c)

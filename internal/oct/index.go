@@ -81,6 +81,28 @@ func (ix *mapIndex) Delete(name string, version int) *Object {
 // included — or 0 when the name has never had a version.
 func (ix *mapIndex) ChainLen(name string) int { return len(ix.objects[name]) }
 
+// HoleTails calls fn(name, ChainLen(name)) for every name whose newest
+// slot is a hole: the chains whose length their live versions alone do
+// not imply, which is what the snapshot must record (persist.go).
+func (ix *mapIndex) HoleTails(fn func(name string, chainLen int)) {
+	for name, versions := range ix.objects {
+		if n := len(versions); n > 0 && versions[n-1] == nil {
+			fn(name, n)
+		}
+	}
+}
+
+// Reserve extends name's chain with holes to n slots; a chain already
+// that long is unchanged. Restore uses it to bring back trailing holes,
+// so a restored store never reassigns a removed version number.
+func (ix *mapIndex) Reserve(name string, n int) {
+	versions := ix.objects[name]
+	for len(versions) < n {
+		versions = append(versions, nil)
+	}
+	ix.objects[name] = versions
+}
+
 // Latest returns the live version with the highest slot, or nil.
 func (ix *mapIndex) Latest(name string) *Object {
 	versions := ix.objects[name]

@@ -156,7 +156,8 @@ type Store struct {
 	tracer  *obs.Tracer
 	vtnow   func() int64
 	// wal, when attached, receives one RecOCTCommit record per committed
-	// version batch before the batch is acknowledged (durable.go).
+	// version batch, appended under the batch's stripe locks; the
+	// acknowledging operation commits it (durable.go).
 	wal *wal.Log
 }
 
@@ -250,8 +251,9 @@ func (s *Store) Clock() int64 { return s.clock.Load() }
 // Put creates a new version of name with the given type and payload and
 // returns it. The version number is assigned by the store (§3.2: "version
 // numbers are managed by the system"). With a WAL attached, the version
-// is logged before Put returns — still under the stripe lock, so log
-// order matches version order — and a logging failure fails the Put.
+// is appended to the log before Put returns — still under the stripe
+// lock, so log order matches version order — and a logging failure fails
+// the Put. It is durable once the caller commits the log (durable.go).
 func (s *Store) Put(name string, typ Type, data Value, creator string) (*Object, error) {
 	if name == "" {
 		return nil, fmt.Errorf("oct: empty object name")

@@ -89,10 +89,18 @@ type snapshotObject struct {
 type snapshot struct {
 	Clock   int64            `json:"clock"`
 	Objects []snapshotObject `json:"objects"`
+	// Chains records the chain length of every name whose newest
+	// versions were physically removed (trailing holes, or no live
+	// version at all): Objects alone would imply a shorter chain, and a
+	// restored store would then reassign a removed version number
+	// (§3.2: never reused). Other names' lengths follow from Objects.
+	// A snapshot without the field restores as before.
+	Chains map[string]int `json:"chains,omitempty"`
 }
 
 // Snapshot writes the full store state as one JSON document, ordered by
-// name then version so the output is independent of stripe layout.
+// name then version so the output is independent of stripe layout, plus
+// the length of every chain that ends in holes.
 // Payload types without a registered codec cause an error rather than
 // silent data loss. Snapshot locks stripes one at a time; take it at a
 // quiescent point if a consistent cross-stripe cut is required (the
@@ -121,6 +129,12 @@ func (s *Store) Snapshot(w io.Writer) error {
 			})
 			return true
 		})
+		st.index.HoleTails(func(name string, n int) {
+			if snap.Chains == nil {
+				snap.Chains = make(map[string]int)
+			}
+			snap.Chains[name] = n
+		})
 		st.mu.RUnlock()
 		if snapErr != nil {
 			return snapErr
@@ -137,9 +151,10 @@ func (s *Store) Snapshot(w io.Writer) error {
 }
 
 // Restore loads a snapshot into an empty store. It fails closed: a
-// document that does not decode, an entry with a version below 1, and a
-// second entry for an already restored (name, version) slot are errors,
-// never a panic or a silently replaced slot.
+// document that does not decode, an entry with a version below 1, a
+// second entry for an already restored (name, version) slot, and a
+// recorded chain length below 1 or below the name's highest restored
+// version are errors, never a panic or a silently replaced slot.
 func (s *Store) Restore(r io.Reader) error {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -162,6 +177,19 @@ func (s *Store) Restore(r io.Reader) error {
 	for _, so := range snap.Objects {
 		if err := s.restoreObject(so); err != nil {
 			return err
+		}
+	}
+	for name, n := range snap.Chains {
+		if n < 1 {
+			return fmt.Errorf("oct: snapshot records chain length %d for %q", n, name)
+		}
+		st := s.stripeFor(name)
+		s.lock(st)
+		have := st.index.ChainLen(name)
+		st.index.Reserve(name, n)
+		st.mu.Unlock()
+		if n < have {
+			return fmt.Errorf("oct: snapshot records chain length %d for %q, below its restored version %d", n, name, have)
 		}
 	}
 	return nil

@@ -13,6 +13,11 @@ func snapshotDoc(entries ...string) string {
 	return `{"clock":9,"objects":[` + strings.Join(entries, ",") + `]}`
 }
 
+// snapshotDocChains is snapshotDoc with a "chains" field.
+func snapshotDocChains(chains string, entries ...string) string {
+	return `{"clock":9,"objects":[` + strings.Join(entries, ",") + `],"chains":` + chains + `}`
+}
+
 func textEntry(name string, version int) string {
 	b, _ := json.Marshal(snapshotObject{
 		Name: name, Version: version, Type: TypeText, Stamp: 1,
@@ -32,6 +37,8 @@ func TestRestoreRejectsBadEntries(t *testing.T) {
 		{"version-zero", snapshotDoc(textEntry("/a", 0)), "version 0"},
 		{"version-negative", snapshotDoc(textEntry("/a", -1)), "version -1"},
 		{"duplicate", snapshotDoc(textEntry("/a", 1), textEntry("/a", 2), textEntry("/a", 1)), "two entries for /a@1"},
+		{"chain-below-version", snapshotDocChains(`{"/a":1}`, textEntry("/a", 1), textEntry("/a", 2)), `chain length 1 for "/a", below its restored version 2`},
+		{"chain-zero", snapshotDocChains(`{"/gone":0}`), `chain length 0 for "/gone"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewStore()
@@ -52,6 +59,69 @@ func TestRestoreRejectsBadEntries(t *testing.T) {
 	}
 	if got := s.TotalWrittenBytes(); got != 2 {
 		t.Errorf("TotalWrittenBytes = %d, want 2", got)
+	}
+}
+
+// TestSnapshotKeepsTrailingHoles: removing a name's newest versions leaves
+// holes at the end of its chain, and a snapshot must carry them — after
+// a restore, the next Put continues the original numbering instead of
+// reassigning a removed version (§3.2). It covers a chain with a live
+// prefix, a chain with no live version left, and a chain whose holes are
+// interior only (which needs no record).
+func TestSnapshotKeepsTrailingHoles(t *testing.T) {
+	s := NewStoreWithStripes(4)
+	for _, name := range []string{"/tail", "/empty", "/mid"} {
+		for i := 0; i < 3; i++ {
+			if _, err := s.Put(name, TypeText, Text(name), "t"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, ref := range []Ref{
+		{Name: "/tail", Version: 3}, {Name: "/tail", Version: 2},
+		{Name: "/empty", Version: 1}, {Name: "/empty", Version: 2}, {Name: "/empty", Version: 3},
+		{Name: "/mid", Version: 2},
+	} {
+		if err := s.Remove(ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"chains":{"/empty":3,"/tail":3}`) {
+		t.Errorf("snapshot does not record the trailing-hole chains exactly:\n%s", buf.String())
+	}
+	restored := NewStoreWithStripes(2)
+	if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"/tail", "/empty", "/mid"} {
+		want, err := s.Put(name, TypeText, Text("next"), "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := restored.Put(name, TypeText, Text("next"), "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Version != want.Version || got.Version != 4 {
+			t.Errorf("%s: restored store assigned v%d, original v%d, want v4", name, got.Version, want.Version)
+		}
+	}
+	if a, b := s.VersionMapText(), restored.VersionMapText(); a != b {
+		t.Errorf("version maps diverged after the next puts:\n%s\nvs\n%s", a, b)
+	}
+
+	// A snapshot written before chain lengths were recorded restores as
+	// it always did: each chain ends at its highest live version.
+	old := NewStore()
+	if err := old.Restore(strings.NewReader(snapshotDoc(textEntry("/a", 1)))); err != nil {
+		t.Fatal(err)
+	}
+	if obj, err := old.Put("/a", TypeText, Text("x"), "t"); err != nil || obj.Version != 2 {
+		t.Errorf("Put after restoring a chain-less snapshot = %v, %v; want v2", obj, err)
 	}
 }
 
@@ -89,10 +159,12 @@ func FuzzSnapshotRestore(f *testing.F) {
 	good := buf.Bytes()
 	flipped := bytes.Clone(good)
 	flipped[len(flipped)/3] ^= 0x04
-	f.Add(good)                                      // holes and hidden versions
-	f.Add(good[:len(good)/2])                        // torn tail
-	f.Add(flipped)                                   // bit flip
-	f.Add([]byte(snapshotDoc(textEntry("/f/a", 0)))) // version 0
+	f.Add(good)                                                                                            // holes and hidden versions
+	f.Add(good[:len(good)/2])                                                                              // torn tail
+	f.Add(flipped)                                                                                         // bit flip
+	f.Add([]byte(snapshotDoc(textEntry("/f/a", 0))))                                                       // version 0
+	f.Add([]byte(snapshotDocChains(`{"/f/a":4,"/f/gone":2}`, textEntry("/f/a", 1), textEntry("/f/a", 2)))) // trailing holes
+	f.Add([]byte(snapshotDocChains(`{"/f/a":1}`, textEntry("/f/a", 2))))                                   // chain below a version
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// mapIndex materializes every slot up to the highest version, so
 		// a decoded version far beyond anything a good chain reaches
@@ -101,6 +173,11 @@ func FuzzSnapshotRestore(f *testing.F) {
 		if json.Unmarshal(data, &probe) == nil {
 			for _, o := range probe.Objects {
 				if o.Version > 1<<20 {
+					t.Skip()
+				}
+			}
+			for _, n := range probe.Chains {
+				if n > 1<<20 {
 					t.Skip()
 				}
 			}

@@ -172,8 +172,8 @@ func (t *Txn) Commit() ([]*Object, error) {
 	}
 	if s.wal != nil {
 		// One record per committed batch, appended while the stripe locks
-		// are still held so log order agrees with version order, and
-		// before the commit is acknowledged to the caller.
+		// are still held so log order agrees with version order; the
+		// operation acknowledging the caller commits it to disk.
 		c := walCommit{Sets: sets}
 		for i, obj := range created {
 			c.Writes = append(c.Writes, walWriteFor(obj, raws[i]))

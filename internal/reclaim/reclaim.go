@@ -306,7 +306,10 @@ func (r *Reclaimer) SweepObjects() (Stats, error) {
 // on the reclaimed versions are invalidated, then reclaimed objects are
 // handed to the Archiver. An archive error is reported after the
 // deletion is already durable (the version is gone either way — the
-// archive is best-effort by design, docs/RECLAIM.md).
+// archive is best-effort by design, docs/RECLAIM.md). Sweep is an
+// acknowledgement point: the stripes' reclaim records are appended
+// without waiting for the disk and made durable by one commit right
+// after the deletion, before anything else runs, errors included.
 func (r *Reclaimer) Sweep(budget int) (Stats, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -318,6 +321,9 @@ func (r *Reclaimer) Sweep(budget int) (Stats, error) {
 		return st, nil
 	}
 	removed, rerr := r.store.ReclaimVersions(refs, cutoff)
+	if cerr := r.store.WAL().Commit(); rerr == nil {
+		rerr = cerr
+	}
 	reclaimed := make([]oct.Ref, len(removed))
 	for i, obj := range removed {
 		reclaimed[i] = oct.Ref{Name: obj.Name, Version: obj.Version}

@@ -15,6 +15,7 @@ import (
 	"papyrus/internal/sprite"
 	"papyrus/internal/task"
 	"papyrus/internal/templates"
+	"papyrus/internal/wal"
 )
 
 type env struct {
@@ -242,6 +243,68 @@ func TestSweepObjects(t *testing.T) {
 	}
 	if _, err := store.Get(oct.Ref{Name: "keep"}); err != nil {
 		t.Error("visible object swept")
+	}
+}
+
+// syncedArchive counts objects handed over while the log still had
+// unsynced bytes: the archive must only see deletions already durable.
+type syncedArchive struct {
+	l        *wal.Log
+	got      int
+	unsynced int
+}
+
+func (a *syncedArchive) Archive(*oct.Object) error {
+	a.got++
+	if a.l.SyncedBytes() != a.l.AppendedBytes() {
+		a.unsynced++
+	}
+	return nil
+}
+
+// TestSweepCommitsOnce: under strict durability a sweep that reclaims
+// across several stripes appends one record per stripe and acknowledges
+// them all with a single fsync, before the archive sees any object.
+func TestSweepCommitsOnce(t *testing.T) {
+	l, err := wal.Open(wal.Options{Dir: t.TempDir(), SegmentBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	store := oct.NewStoreWithStripes(8)
+	store.AttachWAL(l)
+	for i := 0; i < 16; i++ {
+		name := fmt.Sprintf("/n%d", i)
+		if _, err := store.Put(name, oct.TypeText, oct.Text("payload"), ""); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Hide(oct.Ref{Name: name, Version: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	fsyncs, appended := l.Fsyncs(), l.AppendedBytes()
+	arch := &syncedArchive{l: l}
+	st, err := New(store, Policy{Archiver: arch}).Sweep(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Versions != 16 {
+		t.Fatalf("swept %d versions, want 16", st.Versions)
+	}
+	if l.AppendedBytes() == appended {
+		t.Fatal("sweep appended no reclaim records")
+	}
+	if s, a := l.SyncedBytes(), l.AppendedBytes(); s != a {
+		t.Errorf("Sweep returned with SyncedBytes() = %d, AppendedBytes() = %d", s, a)
+	}
+	if d := l.Fsyncs() - fsyncs; d != 1 {
+		t.Errorf("Sweep cost %d fsyncs, want 1", d)
+	}
+	if arch.got != 16 || arch.unsynced != 0 {
+		t.Errorf("archive got %d objects, %d of them before the deletions were synced; want 16, 0", arch.got, arch.unsynced)
 	}
 }
 

@@ -130,7 +130,9 @@ func (s *Space) spaceName(object string) string {
 // Contribute moves an object version from a thread's workspace into the
 // space: a physical copy under the space's namespace (§3.3.4.2's MOVE with
 // an SDS destination). Watching threads are notified subject to their
-// predicates.
+// predicates, and only after the copy is durable: Contribute commits the
+// store's write-ahead log (a no-op without one) before any watcher fires,
+// so no thread is told of a version a crash could still take back.
 func (s *Space) Contribute(threadID int, object string, src *oct.Object) (oct.Ref, error) {
 	s.mu.Lock()
 	if !s.registered[threadID] {
@@ -146,6 +148,9 @@ func (s *Space) Contribute(threadID int, object string, src *oct.Object) (oct.Re
 		}
 	}
 	obj, err := s.store.Put(s.spaceName(object), src.Type, src.Data, "sds-move")
+	if cerr := s.store.WAL().Commit(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return oct.Ref{}, err
 	}
@@ -187,7 +192,8 @@ func (s *Space) Contribute(threadID int, object string, src *oct.Object) (oct.Re
 // Retrieve moves the newest (or an explicit) version of an object from the
 // space into a thread's workspace name (§3.3.4.2's MOVE with a thread
 // destination): a physical copy plus, when notifyFlag is set, a
-// notification flag with the given predicates.
+// notification flag with the given predicates. The copy is durable when
+// Retrieve returns (it commits the store's write-ahead log).
 func (s *Space) Retrieve(threadID int, object string, version int, destName string, notifyFlag bool, notify Notifier, preds ...Predicate) (oct.Ref, error) {
 	s.mu.Lock()
 	if !s.registered[threadID] {
@@ -212,6 +218,9 @@ func (s *Space) Retrieve(threadID int, object string, version int, destName stri
 		return oct.Ref{}, err
 	}
 	copied, err := s.store.Put(destName, obj.Type, obj.Data, "sds-move")
+	if cerr := s.store.WAL().Commit(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return oct.Ref{}, err
 	}

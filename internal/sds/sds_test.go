@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"papyrus/internal/oct"
+	"papyrus/internal/wal"
 )
 
 func seed(t *testing.T, store *oct.Store, name, payload string) *oct.Object {
@@ -42,6 +43,50 @@ func TestRegistrationGatesAccess(t *testing.T) {
 	}
 	if got := s.Threads(); len(got) != 1 || got[0] != 2 {
 		t.Errorf("Threads = %v", got)
+	}
+}
+
+// TestContributeSyncsBeforeNotify: under strict durability Contribute
+// commits the write-ahead log before any watcher fires, so a notified
+// thread never learns of a version a crash could still take back; a
+// Retrieve's copy is on disk when it returns.
+func TestContributeSyncsBeforeNotify(t *testing.T) {
+	l, err := wal.Open(wal.Options{Dir: t.TempDir(), SegmentBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	store := oct.NewStore()
+	store.AttachWAL(l)
+	s := New("A", store)
+	s.Register(1)
+	s.Register(2)
+	fired := 0
+	if err := s.Watch(2, "cell", func(string, string, oct.Ref) {
+		fired++
+		if sy, ap := l.SyncedBytes(), l.AppendedBytes(); sy != ap {
+			t.Errorf("watcher fired with SyncedBytes() = %d, AppendedBytes() = %d", sy, ap)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	obj := seed(t, store, "cell", "v1")
+	fsyncs := l.Fsyncs()
+	if _, err := s.Contribute(1, "cell", obj); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 1 {
+		t.Fatalf("watcher fired %d times, want 1", fired)
+	}
+	// The seed's direct Put rode the same commit.
+	if d := l.Fsyncs() - fsyncs; d != 1 {
+		t.Errorf("Contribute cost %d fsyncs, want 1", d)
+	}
+	if _, err := s.Retrieve(2, "cell", 0, "copy", false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if sy, ap := l.SyncedBytes(), l.AppendedBytes(); sy != ap {
+		t.Errorf("Retrieve returned with SyncedBytes() = %d, AppendedBytes() = %d", sy, ap)
 	}
 }
 

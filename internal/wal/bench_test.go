@@ -5,10 +5,10 @@ import (
 )
 
 // BenchmarkAppendStrictParallel is the cross-session group-commit hot
-// path: concurrent strict-durability appends that must each be on disk
-// before returning. Before leader/follower batching every append paid
-// its own fsync; now overlapping appends share one. Compare ns/op here
-// against BenchmarkAppendStrictSerial to see the batching win.
+// path: concurrent strict-durability operations, each one append
+// acknowledged by its own Commit. Commits that overlap in time share one
+// leader's fsync; compare ns/op and fsyncs/op here against
+// BenchmarkAppendStrictSerial to see the batching win.
 func BenchmarkAppendStrictParallel(b *testing.B) {
 	l, err := Open(Options{Dir: b.TempDir()})
 	if err != nil {
@@ -22,13 +22,17 @@ func BenchmarkAppendStrictParallel(b *testing.B) {
 			if err := l.Append(r); err != nil {
 				b.Fatal(err)
 			}
+			if err := l.Commit(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.ReportMetric(float64(l.Fsyncs())/float64(b.N), "fsyncs/op")
 }
 
-// BenchmarkAppendStrictSerial is the single-appender baseline: no
-// overlap, so every append leads its own flush.
+// BenchmarkAppendStrictSerial is the single-appender baseline: one
+// append and one Commit per op, no overlap, so every commit leads its
+// own flush.
 func BenchmarkAppendStrictSerial(b *testing.B) {
 	l, err := Open(Options{Dir: b.TempDir()})
 	if err != nil {
@@ -41,7 +45,34 @@ func BenchmarkAppendStrictSerial(b *testing.B) {
 		if err := l.Append(r); err != nil {
 			b.Fatal(err)
 		}
+		if err := l.Commit(); err != nil {
+			b.Fatal(err)
+		}
 	}
+}
+
+// BenchmarkAppendStrictAck4 is one acknowledged operation of the shape an
+// erasing rework logs: four appends (cursor, two hides, erase marker)
+// made durable by a single Commit.
+func BenchmarkAppendStrictAck4(b *testing.B) {
+	l, err := Open(Options{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	r := Record{Type: RecOCTCommit, Payload: []byte(`{"writes":[{"name":"/bench","version":1}]}`)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 4; j++ {
+			if err := l.Append(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := l.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(l.Fsyncs())/float64(b.N), "fsyncs/op")
 }
 
 // BenchmarkAppendFrame measures the wire/log framing with a reused

@@ -90,14 +90,15 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // AppendFrame appends the framed encoding of r to dst and returns the
 // extended slice.
 func AppendFrame(dst []byte, r Record) []byte {
-	n := len(r.Payload)
-	crc := crc32.Update(0, castagnoli, []byte{byte(r.Type)})
-	crc = crc32.Update(crc, castagnoli, r.Payload)
+	off, n := len(dst), len(r.Payload)
 	dst = append(dst,
 		byte(n), byte(n>>8), byte(n>>16), byte(n>>24),
-		byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24),
+		0, 0, 0, 0, // CRC, filled in below once type and payload are in place
 		byte(r.Type))
-	return append(dst, r.Payload...)
+	dst = append(dst, r.Payload...)
+	crc := crc32.Checksum(dst[off+8:], castagnoli)
+	dst[off+4], dst[off+5], dst[off+6], dst[off+7] = byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24)
+	return dst
 }
 
 // Scan decodes the longest valid prefix of data. It returns the decoded
@@ -134,14 +135,17 @@ type Options struct {
 	// SegmentBytes rotates to a fresh segment once the current one
 	// reaches this size; <= 0 selects DefaultSegmentBytes.
 	SegmentBytes int64
-	// FsyncEvery is the group-commit interval in virtual ticks: an
-	// append waits for an fsync when FsyncEvery <= 1 (strict
-	// durability) or when at least this many ticks passed since the
-	// last fsync. Rotation, Checkpoint, Sync, and Close always fsync
-	// regardless. Concurrent appends that need durability share fsyncs:
-	// one appender becomes the flush leader while the others ride its
-	// fsync if it covers their bytes, so N parallel strict appends cost
-	// far fewer than N disk flushes.
+	// FsyncEvery selects the flush policy. FsyncEvery <= 1 is strict
+	// durability, committed at acknowledgement: Append only writes the
+	// frame, and the caller's Commit — issued once per acknowledged
+	// operation — returns after an fsync covers everything appended so
+	// far. A larger value is a group-commit interval in virtual ticks:
+	// an append waits for an fsync once at least this many ticks passed
+	// since the last one, and Commit is a no-op. Rotation, Checkpoint,
+	// Sync, and Close always fsync regardless. Concurrent committers
+	// share fsyncs: one becomes the flush leader while the others ride
+	// its fsync if it covers their bytes, so N parallel strict commits
+	// cost far fewer than N disk flushes.
 	FsyncEvery int64
 	// Now supplies the virtual time used by group commit and trace
 	// stamps; nil pins the clock at 0 (group commit then only fsyncs at
@@ -268,6 +272,17 @@ func (l *Log) AppendedBytes() int64 {
 	return l.bytes
 }
 
+// SyncedBytes returns the prefix of AppendedBytes an fsync covers: under
+// strict durability it equals AppendedBytes whenever no operation is
+// between its appends and its Commit. An out-of-registry probe like
+// AppendedBytes (operators read AppendedBytes-SyncedBytes as the log's
+// unsynced lag).
+func (l *Log) SyncedBytes() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.synced
+}
+
 // Rotations returns how many times the log rotated to a new segment.
 // Also an out-of-registry probe: rotation is triggered by byte
 // thresholds, so it inherits the byte totals' interleaving dependence.
@@ -282,7 +297,8 @@ func (l *Log) Rotations() int64 {
 // appends absorbed by one flush depends on goroutine interleaving, so
 // putting it in the registry would break the byte-identical-exports
 // guarantee across worker counts. Under strict durability it is at most
-// — typically far below — the number of appends.
+// one per Commit that found unsynced bytes — typically below that, when
+// concurrent committers share a flush.
 func (l *Log) Fsyncs() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -307,17 +323,16 @@ func (l *Log) SegmentCount() int {
 	return len(seqs)
 }
 
-// Append writes one record, rotating the segment when full, and applies
-// the group-commit policy: the append waits for an fsync covering its
-// bytes when FsyncEvery <= 1 or when at least FsyncEvery virtual ticks
-// elapsed since the last fsync. Durability-seeking appends batch across
-// sessions: the first one becomes the flush leader and fsyncs everything
-// appended so far with the log mutex released, so concurrent appends keep
-// landing in the segment during the flush and followers whose bytes the
-// flush covered return without issuing their own. Append returns only
-// after the record is in the OS file (crash-of-process safe); with an
-// interval policy an OS crash may lose the unsynced tail, but recovery
-// still sees a valid prefix.
+// Append writes one record, rotating the segment when full. It returns
+// once the frame is in the OS file (crash-of-process safe) and in log
+// order: appends from parallel sessions serialize on the log mutex. Under
+// strict durability (FsyncEvery <= 1) Append never waits for the disk —
+// the acknowledging operation calls Commit once after all its appends, so
+// callers that append under their own locks (the object store's stripe
+// locks) release them before the flush. Under an interval policy the
+// append itself waits for an fsync once FsyncEvery virtual ticks elapsed
+// since the last one; an OS crash may lose the unsynced tail, but
+// recovery still sees a valid prefix.
 func (l *Log) Append(r Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -325,7 +340,8 @@ func (l *Log) Append(r Record) error {
 		return fmt.Errorf("wal: log is closed")
 	}
 	frame := AppendFrame(nil, r)
-	if l.size > 0 && l.size+int64(len(frame)) > l.opts.SegmentBytes {
+	n := int64(len(frame))
+	if l.size > 0 && l.size+n > l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			return err
 		}
@@ -333,18 +349,34 @@ func (l *Log) Append(r Record) error {
 	if _, err := l.f.Write(frame); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	l.size += int64(len(frame))
-	l.bytes += int64(len(frame))
+	l.size += n
+	l.bytes += n
 	l.opts.Metrics.Inc("wal.append.records")
 	if tr := l.opts.Tracer; tr != nil {
 		tr.Emit(obs.Event{VT: l.now(), Type: obs.EvWALAppend,
-			Name: typeName(r.Type), Args: map[string]string{"bytes": fmt.Sprint(len(frame))}})
+			Name: typeName(r.Type), Args: map[string]string{"bytes": fmt.Sprint(n)}})
 	}
-	now := l.now()
-	if l.opts.FsyncEvery <= 1 || now-l.lastSync >= l.opts.FsyncEvery {
+	if now := l.now(); l.opts.FsyncEvery > 1 && now-l.lastSync >= l.opts.FsyncEvery {
 		return l.commitLocked(l.bytes, now)
 	}
 	return nil
+}
+
+// Commit makes every record appended so far durable under strict
+// durability: it returns once an fsync covers all of AppendedBytes,
+// sharing the flush with concurrent committers (commitLocked) and costing
+// nothing when an earlier fsync already covers those bytes. Every
+// operation that acknowledges a caller commits exactly once before it
+// returns; because the log is one ordered stream, that fsync also covers
+// every earlier record, whichever operation appended it. Commit is a
+// no-op under an interval policy (FsyncEvery > 1) and on a nil Log.
+func (l *Log) Commit() error {
+	if l == nil || l.opts.FsyncEvery > 1 {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.commitLocked(l.bytes, l.now())
 }
 
 // typeName renders a record type for trace events.

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -89,8 +90,29 @@ func TestOpenAppendReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// FsyncEvery defaults to strict mode, committed at acknowledgement:
+	// appends only write, and one Commit covers all three records.
+	if n, s := l.Fsyncs(), l.SyncedBytes(); n != 0 || s != 0 {
+		t.Errorf("after 3 appends: Fsyncs() = %d, SyncedBytes() = %d, want 0, 0", n, s)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := l.Fsyncs(); n != 1 {
+		t.Errorf("Fsyncs() = %d after 3 appends and one Commit, want 1", n)
+	}
+	if s, a := l.SyncedBytes(), l.AppendedBytes(); s != a {
+		t.Errorf("SyncedBytes() = %d after Commit, want AppendedBytes() = %d", s, a)
+	}
+	// Nothing new to cover: a second Commit, and Close, flush nothing.
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if n := l.Fsyncs(); n != 1 {
+		t.Errorf("Fsyncs() = %d after a second Commit and Close, want still 1", n)
 	}
 	var got []string
 	stats, err := Replay(dir, func(r Record) error {
@@ -107,11 +129,6 @@ func TestOpenAppendReplay(t *testing.T) {
 		if got[i] != p {
 			t.Errorf("record %d = %q, want %q", i, got[i], p)
 		}
-	}
-	// FsyncEvery defaults to strict mode: with a single appender every
-	// append leads its own flush, so the probe counts one per append.
-	if n := l.Fsyncs(); n != 3 {
-		t.Errorf("Fsyncs() = %d, want 3 (strict fsync-per-append, one appender)", n)
 	}
 	if n := reg.Counter("wal.append.records"); n != 3 {
 		t.Errorf("wal.append.records = %d, want 3", n)
@@ -167,12 +184,13 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 }
 
 func TestConcurrentStrictAppendsShareFsyncs(t *testing.T) {
-	// Strict durability (FsyncEvery <= 1) from many goroutines: every
-	// append must still be on disk when it returns, but appends that
-	// overlap in time ride one leader's fsync instead of each issuing
-	// their own. The exact batching depends on scheduling, so assert
-	// the invariants, not a count: nothing lost, never more fsyncs
-	// than appends.
+	// Strict durability (FsyncEvery <= 1) from many goroutines, each
+	// acknowledging every append with a Commit: a committer must return
+	// with its own frame covered by an fsync, but commits that overlap
+	// in time ride one leader's fsync instead of each issuing their own.
+	// The exact batching depends on scheduling, so assert the
+	// invariants, not a count: every committer covered, nothing lost,
+	// never more fsyncs than commits.
 	dir := t.TempDir()
 	l, err := Open(Options{Dir: dir})
 	if err != nil {
@@ -185,6 +203,17 @@ func TestConcurrentStrictAppendsShareFsyncs(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				if err := l.Append(rec(RecOCTCommit, "payload")); err != nil {
 					errs <- err
+					return
+				}
+				// At least this goroutine's frame end: later appends
+				// from others only move it further.
+				end := l.AppendedBytes()
+				if err := l.Commit(); err != nil {
+					errs <- err
+					return
+				}
+				if synced := l.SyncedBytes(); synced < end {
+					errs <- fmt.Errorf("goroutine %d: Commit returned with SyncedBytes() = %d, below its frame end %d", g, synced, end)
 					return
 				}
 			}
@@ -200,6 +229,9 @@ func TestConcurrentStrictAppendsShareFsyncs(t *testing.T) {
 	if n := l.Fsyncs(); n < 1 || n > total {
 		t.Errorf("Fsyncs() = %d, want in [1, %d]", n, total)
 	}
+	if s, a := l.SyncedBytes(), l.AppendedBytes(); s != a {
+		t.Errorf("SyncedBytes() = %d after every commit returned, want AppendedBytes() = %d", s, a)
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +244,58 @@ func TestConcurrentStrictAppendsShareFsyncs(t *testing.T) {
 	}
 }
 
+// TestCommitIsNoOpOutsideStrictMode: Commit is nil-safe, costs nothing
+// under an interval policy (the interval alone decides when to flush),
+// and succeeds on a closed log, whose Close already flushed everything.
+func TestCommitIsNoOpOutsideStrictMode(t *testing.T) {
+	var none *Log
+	if err := none.Commit(); err != nil {
+		t.Fatalf("nil Log Commit = %v, want nil", err)
+	}
+	l, err := Open(Options{Dir: t.TempDir(), FsyncEvery: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(rec(RecOCTCommit, "x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n, s := l.Fsyncs(), l.SyncedBytes(); n != 0 || s != 0 {
+		t.Errorf("interval-mode Commit: Fsyncs() = %d, SyncedBytes() = %d, want 0, 0", n, s)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, a := l.SyncedBytes(), l.AppendedBytes(); s != a {
+		t.Errorf("SyncedBytes() = %d after Close, want AppendedBytes() = %d", s, a)
+	}
+
+	strict, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := strict.Append(rec(RecOCTCommit, "x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := strict.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := strict.Commit(); err != nil {
+		t.Errorf("Commit after Close = %v, want nil (Close flushed)", err)
+	}
+	if n := strict.Fsyncs(); n != 1 {
+		t.Errorf("Fsyncs() = %d, want 1 (Close's flush only)", n)
+	}
+}
+
 func TestConcurrentAppendsAcrossRotation(t *testing.T) {
 	// Rotation must wait out an in-flight group-commit flush and stay
-	// correct when several appenders race the segment boundary.
+	// correct when several appenders race the segment boundary: each
+	// goroutine commits after every append, so a strict flush is almost
+	// always in flight when a rotation parks on it, and every distinct
+	// payload must replay exactly once.
 	dir := t.TempDir()
 	l, err := Open(Options{Dir: dir, SegmentBytes: 256})
 	if err != nil {
@@ -223,15 +304,20 @@ func TestConcurrentAppendsAcrossRotation(t *testing.T) {
 	const goroutines, perG = 4, 30
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
-		go func() {
+		go func(g int) {
 			for i := 0; i < perG; i++ {
-				if err := l.Append(rec(RecOCTCommit, string(bytes.Repeat([]byte("p"), 40)))); err != nil {
+				p := fmt.Sprintf("g%d-i%03d-%s", g, i, bytes.Repeat([]byte("p"), 32))
+				if err := l.Append(rec(RecOCTCommit, p)); err != nil {
+					errs <- err
+					return
+				}
+				if err := l.Commit(); err != nil {
 					errs <- err
 					return
 				}
 			}
 			errs <- nil
-		}()
+		}(g)
 	}
 	for g := 0; g < goroutines; g++ {
 		if err := <-errs; err != nil {
@@ -241,15 +327,36 @@ func TestConcurrentAppendsAcrossRotation(t *testing.T) {
 	if n := l.Rotations(); n == 0 {
 		t.Error("Rotations() = 0, want > 0 with a 256-byte segment limit")
 	}
+	if s, a := l.SyncedBytes(), l.AppendedBytes(); s != a {
+		t.Errorf("SyncedBytes() = %d after every append committed, want AppendedBytes() = %d", s, a)
+	}
+	appended := l.AppendedBytes()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Replay(dir, func(Record) error { return nil })
+	seen := map[string]int{}
+	var onDisk int64
+	stats, err := Replay(dir, func(r Record) error {
+		seen[string(r.Payload)]++
+		onDisk += int64(frameHeader + len(r.Payload))
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Records != goroutines*perG {
 		t.Errorf("replayed %d records, want %d", stats.Records, goroutines*perG)
+	}
+	for g := 0; g < goroutines; g++ {
+		for i := 0; i < perG; i++ {
+			p := fmt.Sprintf("g%d-i%03d-%s", g, i, bytes.Repeat([]byte("p"), 32))
+			if n := seen[p]; n != 1 {
+				t.Errorf("payload g%d-i%03d replayed %d times, want 1", g, i, n)
+			}
+		}
+	}
+	if onDisk != appended {
+		t.Errorf("replayed frames total %d bytes, AppendedBytes() = %d", onDisk, appended)
 	}
 	if stats.Truncated != 0 {
 		t.Errorf("stats.Truncated = %d, want 0 after clean close", stats.Truncated)
