@@ -17,7 +17,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -41,6 +40,7 @@ import (
 	"papyrus/internal/memo"
 	"papyrus/internal/obs"
 	"papyrus/internal/oct"
+	"papyrus/internal/oracle"
 	"papyrus/internal/reclaim"
 	"papyrus/internal/sprite"
 	"papyrus/internal/task"
@@ -99,12 +99,48 @@ func appendSummary(section string) {
 	must(f.Close())
 }
 
+// writeRows writes an experiment's rows to path as indented JSON.
+func writeRows[T any](path string, rows []T) {
+	f, err := os.Create(path)
+	must(err)
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	must(enc.Encode(rows))
+	must(f.Close())
+	fmt.Printf("wrote %d rows to %s\n", len(rows), path)
+}
+
 // measureVT records a system's final virtual clock under
 // bench.<name>.ticks and returns it — the single timing path for
 // experiment tables, replacing per-experiment Cluster.Now() bookkeeping.
 func measureVT(name string, now int64) int64 {
 	benchMetrics.Observe("bench."+name+".ticks", now)
 	return now
+}
+
+// experiments is the -exp table, in -h order. inAll marks the
+// virtual-time experiments -exp all runs; the wall-clock ones (scale,
+// serve, workload, reclaim) run only by name.
+var experiments = []struct {
+	name  string
+	run   func()
+	inAll bool
+}{
+	{"speedup", expSpeedup, true},
+	{"remigration", expReMigration, true},
+	{"scopecache", expScopeCache, true},
+	{"storage", expStorage, true},
+	{"rework", expRework, true},
+	{"viewport", expViewport, true},
+	{"inference", expInference, true},
+	{"abort", expAbort, true},
+	{"rebuild", expRebuild, true},
+	{"faults", expFaults, true},
+	{"scale", expScale, false},
+	{"replay", expReplay, true},
+	{"serve", expServe, false},
+	{"workload", expWorkload, false},
+	{"reclaim", expReclaim, false},
 }
 
 // flagOrder is the order -h prints flags in: general switches first, then
@@ -121,10 +157,9 @@ var flagOrder = []string{
 	"servesessions", "serveshards", "serveworkers", "servetenants",
 	"serverate", "serveburst", "servequeue", "servemin", "servep99",
 	"serveout",
-	"wlprofiles", "wlseed", "wlsessions", "wldepth", "wlfanout",
-	"wlworkers", "wlmin", "wlout",
-	"rcseed", "rcsessions", "rcdepth", "rcfanout",
-	"rcworkers", "rcsweep", "rcbudget", "rcgrowth", "rcmaxratio", "rcout",
+	"seed", "sessions", "fanout",
+	"wlprofiles", "wldepth", "wlworkers", "wlmin", "wlout",
+	"rcdepth", "rcworkers", "rcsweep", "rcbudget", "rcgrowth", "rcmaxratio", "rcout",
 }
 
 // usage replaces the default flag.Usage: same per-flag format, but in
@@ -132,7 +167,11 @@ var flagOrder = []string{
 // appended at the end so nothing ever drops out of -h.
 func usage() {
 	w := flag.CommandLine.Output()
-	fmt.Fprintln(w, "usage: benchtool [-exp all|speedup|remigration|scopecache|storage|rework|viewport|inference|abort|rebuild|faults|scale|replay|serve|workload|index|reclaim] [flags]")
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	fmt.Fprintf(w, "usage: benchtool [-exp %s] [flags]\n", strings.Join(names, "|"))
 	fmt.Fprintln(w, "\nflags:")
 	seen := make(map[string]bool, len(flagOrder))
 	order := flagOrder
@@ -189,18 +228,15 @@ func main() {
 	flag.Float64Var(&serveMin, "servemin", 0, "fail (exit 1) if -exp serve sustains fewer steps/sec than this")
 	flag.Float64Var(&serveP99, "servep99", 0, "fail (exit 1) if -exp serve task-submission p99 exceeds this many ms")
 	flag.StringVar(&serveOut, "serveout", "BENCH_serve.json", "output file for the -exp serve table")
+	flag.Int64Var(&cellSpec.Seed, "seed", 7, "workload generator seed for -exp workload and -exp reclaim")
+	flag.IntVar(&cellSpec.Sessions, "sessions", 4, "designer sessions per cell for -exp workload and -exp reclaim")
+	flag.IntVar(&cellSpec.Fanout, "fanout", 4, "fanout knob (burst width, fan arity) for -exp workload and -exp reclaim")
 	flag.StringVar(&wlProfiles, "wlprofiles", "all", "comma-separated workload profiles for -exp workload (all = every profile)")
-	flag.Int64Var(&wlSeed, "wlseed", 7, "workload generator seed for -exp workload")
-	flag.IntVar(&wlSessions, "wlsessions", 4, "designer sessions per profile for -exp workload")
 	flag.IntVar(&wlDepth, "wldepth", 6, "depth knob (rounds, chain length) for -exp workload")
-	flag.IntVar(&wlFanout, "wlfanout", 4, "fanout knob (burst width, fan arity) for -exp workload")
 	flag.StringVar(&wlWorkers, "wlworkers", "1,4", "comma-separated worker counts for -exp workload (fingerprints must be invariant)")
 	flag.Float64Var(&wlMin, "wlmin", 0, "fail (exit 1) if any profile's best in-process cell is below this many steps/sec")
 	flag.StringVar(&wlOut, "wlout", "BENCH_workload.json", "output file for the -exp workload table")
-	flag.Int64Var(&rcSeed, "rcseed", 7, "workload generator seed for -exp reclaim")
-	flag.IntVar(&rcSessions, "rcsessions", 4, "designer sessions for the -exp reclaim soak")
 	flag.IntVar(&rcDepth, "rcdepth", 64, "rework depth (rounds = depth/8) for -exp reclaim")
-	flag.IntVar(&rcFanout, "rcfanout", 4, "fanout knob for -exp reclaim")
 	flag.IntVar(&rcWorkers, "rcworkers", 4, "worker-pool size for -exp reclaim cells")
 	flag.IntVar(&rcSweep, "rcsweep", 1, "sweep at every Nth round barrier for -exp reclaim")
 	flag.IntVar(&rcBudget, "rcbudget", 0, "index records scanned per sweep slice for -exp reclaim (0 = whole store)")
@@ -257,36 +293,23 @@ func main() {
 			must(benchMetrics.WriteText(os.Stdout))
 		}
 	}()
-	run := map[string]func(){
-		"speedup":     expSpeedup,
-		"remigration": expReMigration,
-		"scopecache":  expScopeCache,
-		"storage":     expStorage,
-		"rework":      expRework,
-		"viewport":    expViewport,
-		"inference":   expInference,
-		"abort":       expAbort,
-		"rebuild":     expRebuild,
-		"faults":      expFaults,
-		"scale":       expScale,
-		"replay":      expReplay,
-		"serve":       expServe,
-		"workload":    expWorkload,
-		"reclaim":     expReclaim,
-	}
 	if *exp == "all" {
-		for _, name := range []string{"speedup", "remigration", "scopecache", "storage", "rework", "viewport", "inference", "abort", "rebuild", "faults", "replay"} {
-			run[name]()
-			fmt.Println()
+		for _, e := range experiments {
+			if e.inAll {
+				e.run()
+				fmt.Println()
+			}
 		}
 		return
 	}
-	f, ok := run[*exp]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
+	for _, e := range experiments {
+		if e.name == *exp {
+			e.run()
+			return
+		}
 	}
-	f()
+	fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+	os.Exit(2)
 }
 
 func must(err error) {
@@ -798,19 +821,6 @@ var (
 	scaleMemo     bool
 )
 
-// statsSHA fingerprints a registry export with the memo.* namespace
-// filtered out — the one namespace permitted to differ between memo-on
-// and memo-off runs of the same workload (docs/CACHING.md). Memo-off
-// registries have no memo.* entries, so their fingerprint is unchanged
-// by the filter.
-func statsSHA(reg *obs.Registry) string {
-	var b strings.Builder
-	must(reg.WriteTextFiltered(&b, func(name string) bool {
-		return !strings.HasPrefix(name, "memo.")
-	}))
-	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
-}
-
 // scaleRow is one (sessions, workers) cell of BENCH_scale.json.
 type scaleRow struct {
 	Sessions    int     `json:"sessions"`
@@ -925,8 +935,8 @@ func runScaleCell(sessions, workers int) scaleRow {
 		Steps:            steps,
 		WallMS:           float64(wall.Microseconds()) / 1000,
 		StepsPerSec:      float64(steps) / wall.Seconds(),
-		StatsSHA:         statsSHA(reg),
-		VersionSHA:       fmt.Sprintf("%x", sha256.Sum256([]byte(sys.Store.VersionMapText()))),
+		StatsSHA:         oracle.Stats(reg),
+		VersionSHA:       oracle.Versions(sys.Store),
 		StripeContention: sys.Store.StripeContention(),
 	}
 	if benchMem && steps > 0 {
@@ -1004,13 +1014,7 @@ func expScale() {
 			}
 		}
 	}
-	f, err := os.Create(scaleOut)
-	must(err)
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	must(enc.Encode(rows))
-	must(f.Close())
-	fmt.Printf("wrote %d rows to %s\n", len(rows), scaleOut)
+	writeRows(scaleOut, rows)
 	if benchMem {
 		// Greppable perf line for scripts/perfgate.sh: the largest cell's
 		// allocation cost per completed step.
@@ -1067,7 +1071,7 @@ type replayRow struct {
 	Speedup     float64 `json:"replay_speedup"`
 	MemoHits    int64   `json:"memo_hits"`
 	MemoMisses  int64   `json:"memo_misses"`
-	// StatsSHA is the memo-filtered metrics fingerprint: constant across
+	// StatsSHA is the oracle's stats fingerprint: constant across
 	// worker counts within a memo setting. VersionSHA is the final OCT
 	// version map: constant across every cell — memoized replay must
 	// produce byte-identical store content to re-running the tools.
@@ -1123,8 +1127,8 @@ func runReplayCell(workers int, withMemo bool) replayRow {
 		Speedup:     float64(first) / float64(max64(1, replay)),
 		MemoHits:    reg.Counter("memo.hit"),
 		MemoMisses:  reg.Counter("memo.miss"),
-		StatsSHA:    statsSHA(reg),
-		VersionSHA:  fmt.Sprintf("%x", sha256.Sum256([]byte(sys.Store.VersionMapText()))),
+		StatsSHA:    oracle.Stats(reg),
+		VersionSHA:  oracle.Versions(sys.Store),
 	}
 }
 
@@ -1139,7 +1143,7 @@ func max64(a, b int64) int64 {
 // move, with and without the step-result cache. The version-map
 // fingerprint must be identical across every cell — memoization may only
 // change how fast the store reaches a state, never which state — and the
-// memo-filtered stats fingerprint must be worker-count invariant within
+// oracle's stats fingerprint must be worker-count invariant within
 // each memo setting.
 func expReplay() {
 	fmt.Println("## E12: rework replay — redo cost after a cursor move, memo off vs on")
@@ -1171,13 +1175,7 @@ func expReplay() {
 				row.MemoHits, row.MemoMisses, row.StatsSHA[:12], row.VersionSHA[:12])
 		}
 	}
-	f, err := os.Create(replayOut)
-	must(err)
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	must(enc.Encode(rows))
-	must(f.Close())
-	fmt.Printf("wrote %d rows to %s\n", len(rows), replayOut)
+	writeRows(replayOut, rows)
 	if replayMin > 0 && gate.Speedup < replayMin {
 		gateFail("replay gate: workers=%d memo=on speedup %.2f < required %.2f",
 			gate.Workers, gate.Speedup, replayMin)

@@ -16,8 +16,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"papyrus/internal/obs"
 )
 
 func TestQualitativeExperiments(t *testing.T) {
@@ -197,7 +195,7 @@ func TestServeExperiment(t *testing.T) {
 func TestWorkloadExperiment(t *testing.T) {
 	dir := t.TempDir()
 	wlProfiles = "interactive,agentic"
-	wlSeed, wlSessions, wlDepth, wlFanout = 11, 2, 3, 3
+	cellSpec.Seed, cellSpec.Sessions, cellSpec.Fanout, wlDepth = 11, 2, 3, 3
 	wlWorkers, wlMin = "1,2", 1
 	wlOut = filepath.Join(dir, "workload.json")
 	summaryPath = filepath.Join(dir, "summary.md")
@@ -225,8 +223,8 @@ func TestWorkloadExperiment(t *testing.T) {
 		if row.Steps <= 0 || row.VersionSHA == "" {
 			t.Errorf("%s/%s: empty cell: %+v", row.Profile, row.Path, row)
 		}
-		if (row.StatsSHA == "") != (row.Path == "wire") {
-			t.Errorf("%s/%s: stats fingerprint presence wrong: %+v", row.Profile, row.Path, row)
+		if row.StatsSHA == "" {
+			t.Errorf("%s/%s: empty stats fingerprint: %+v", row.Profile, row.Path, row)
 		}
 	}
 	md, err := os.ReadFile(summaryPath)
@@ -247,7 +245,7 @@ func TestWorkloadExperiment(t *testing.T) {
 // soak halves contain kept chains (docs/RECLAIM.md).
 func TestReclaimExperiment(t *testing.T) {
 	dir := t.TempDir()
-	rcSeed, rcSessions, rcDepth, rcFanout = 11, 2, 8, 2
+	cellSpec.Seed, cellSpec.Sessions, cellSpec.Fanout, rcDepth = 11, 2, 2, 8
 	rcWorkers, rcSweep, rcBudget = 2, 1, 0
 	rcGrowth, rcMaxRatio = 0, 0
 	rcOut = filepath.Join(dir, "reclaim.json")
@@ -289,8 +287,8 @@ func TestReclaimExperiment(t *testing.T) {
 			if row.Mode == "durable" && !row.Recovered {
 				t.Error("durable cell did not record recovery")
 			}
-			if row.Mode == "swept" && row.StatsSHA == "" {
-				t.Error("swept cell missing stats fingerprint")
+			if row.StatsSHA == "" || row.StatsSHA != rows[0].StatsSHA {
+				t.Errorf("%s: stats fingerprint %q, swept %q", row.Mode, row.StatsSHA, rows[0].StatsSHA)
 			}
 		case "unswept":
 			if row.ReclaimedVersions != 0 {
@@ -314,29 +312,29 @@ func TestReclaimExperiment(t *testing.T) {
 	}
 }
 
-// TestVisibleMapSHA pins the projection the modulo-reclaimed gate
-// compares: invisible lines are excluded, visible lines are order- and
-// content-sensitive.
-func TestVisibleMapSHA(t *testing.T) {
-	base := visibleMapSHA("/a@1 visible=true x\n/a@2 visible=false y\n")
-	if got := visibleMapSHA("/a@1 visible=true x\n"); got != base {
-		t.Errorf("invisible line changed the fingerprint")
-	}
-	if got := visibleMapSHA("/a@1 visible=true z\n"); got == base {
-		t.Errorf("visible content change not detected")
-	}
-}
-
 // TestUsage pins the ordered -h listing: known flags come out in
-// flagOrder and unknown ones are appended rather than dropped.
+// flagOrder and unknown ones are appended rather than dropped, and every
+// experiment the header advertises is one -exp runs.
 func TestUsage(t *testing.T) {
 	var buf bytes.Buffer
 	out := flag.CommandLine.Output()
 	flag.CommandLine.SetOutput(&buf)
 	defer flag.CommandLine.SetOutput(out)
 	usage()
-	if !strings.Contains(buf.String(), "usage: benchtool") {
-		t.Errorf("usage output missing header:\n%s", buf.String())
+	header, _, _ := strings.Cut(buf.String(), "\n")
+	_, list, ok := strings.Cut(header, "usage: benchtool [-exp ")
+	list, _, _ = strings.Cut(list, "]")
+	if !ok {
+		t.Fatalf("usage output missing header:\n%s", buf.String())
+	}
+	for _, name := range strings.Split(list, "|") {
+		found := name == "all"
+		for _, e := range experiments {
+			found = found || e.name == name
+		}
+		if !found {
+			t.Errorf("usage advertises -exp %s, which does not run", name)
+		}
 	}
 }
 
@@ -352,21 +350,6 @@ func TestGateFailRecords(t *testing.T) {
 	// appendSummary with no -summary file is a no-op, not an error.
 	summaryPath = ""
 	appendSummary("### nothing\n")
-}
-
-func TestStatsSHAFiltersMemoNamespace(t *testing.T) {
-	a, b := obs.NewRegistry(), obs.NewRegistry()
-	a.Inc("task.step.issue")
-	b.Inc("task.step.issue")
-	b.Inc("memo.hit")
-	b.Add("memo.bytes", 512)
-	if statsSHA(a) != statsSHA(b) {
-		t.Error("memo.* counters leaked into the filtered fingerprint")
-	}
-	b.Inc("task.step.issue")
-	if statsSHA(a) == statsSHA(b) {
-		t.Error("non-memo counter change not reflected in the fingerprint")
-	}
 }
 
 func TestParseIntList(t *testing.T) {

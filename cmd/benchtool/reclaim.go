@@ -20,27 +20,19 @@ package main
 //   - recovery: a WAL-armed swept run, killed and replayed through
 //     core.Recover, converges to the pre-crash fingerprint — reclaim
 //     records replay idempotently (the kill-at-every-byte matrix covers
-//     every prefix; this covers the full log end-to-end).
+//     every prefix; this covers the full log end-to-end) — and its
+//     stats and version map equal the volatile swept run's.
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"log"
-	"os"
 	"strings"
-	"time"
 
-	"papyrus/internal/core"
-	"papyrus/internal/obs"
-	"papyrus/internal/workload"
+	"papyrus/internal/oracle"
 )
 
 var (
-	rcSeed     int64
-	rcSessions int
 	rcDepth    int
-	rcFanout   int
 	rcWorkers  int
 	rcSweep    int
 	rcBudget   int
@@ -70,7 +62,7 @@ type reclaimRow struct {
 	ReclaimedVersions int64   `json:"reclaimed_versions"`
 	ReclaimedBytes    int64   `json:"reclaimed_bytes"`
 	WallMS            float64 `json:"wall_ms"`
-	StatsSHA          string  `json:"stats_sha256,omitempty"`
+	StatsSHA          string  `json:"stats_sha256"`
 	VersionSHA        string  `json:"version_sha256"`
 	// VisibleSHA fingerprints only the visible version-map lines — the
 	// sweep-invariant projection the modulo-reclaimed gate compares.
@@ -80,118 +72,44 @@ type reclaimRow struct {
 	Recovered bool `json:"recovered,omitempty"`
 }
 
-// visibleMapSHA fingerprints the visible lines of a version map — the
-// projection physical reclamation must never change.
-func visibleMapSHA(text string) string {
-	var b strings.Builder
-	for _, line := range strings.Split(text, "\n") {
-		if strings.Contains(line, " visible=true ") {
-			b.WriteString(line)
-			b.WriteByte('\n')
-		}
-	}
-	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
-}
-
 // runReclaimCell drives one deep-rework soak. sweep arms barrier sweeps;
-// durable arms a WAL in a temp dir and recovers the cell from it.
-func runReclaimCell(sweep, durable bool) reclaimRow {
-	w, err := workload.Generate(workload.Spec{
-		Profile:  "rework",
-		Seed:     rcSeed,
-		Sessions: rcSessions,
-		Depth:    rcDepth,
-		Fanout:   rcFanout,
-	})
-	must(err)
-	reg := obs.NewRegistry()
-	base := core.Config{
-		Nodes:            4,
-		Workers:          rcWorkers,
-		DisableInference: true,
-		Metrics:          reg,
-		ReclaimGrace:     0,
-	}
-	var walDir string
-	if durable {
-		walDir, err = os.MkdirTemp("", "e17-wal-*")
-		must(err)
-		base.Durability = &core.DurabilityConfig{Dir: walDir, FsyncEvery: 64, SegmentBytes: 1 << 20}
-	}
-	cfg := w.CoreConfig(base)
-	sys, err := core.New(cfg)
-	must(err)
-
-	opts := workload.Options{ForceRounds: true, SweepBudget: rcBudget}
-	if sweep {
-		opts.SweepEveryRounds = rcSweep
-	}
-	var checkpoints []float64
-	opts.OnRound = func(round int) error {
-		written := sys.Store.TotalWrittenBytes()
-		if written > 0 {
-			checkpoints = append(checkpoints, float64(sys.Store.TotalBytes())/float64(written))
-		}
-		return nil
-	}
-
+// durable arms a WAL, and oracle.Run kills the cell and recovers it.
+func runReclaimCell(sweep, durable bool) (reclaimRow, oracle.Fingerprint) {
+	spec := cellSpec
+	spec.Profile, spec.Depth = "rework", rcDepth
+	c := oracle.Cell{Spec: spec, Workers: rcWorkers, ForceRounds: true, SweepBudget: rcBudget, WAL: durable}
 	mode := "unswept"
 	if sweep {
+		c.SweepEvery = rcSweep
 		mode = "swept"
 	}
 	if durable {
 		mode = "durable"
 	}
-	start := time.Now()
-	must(workload.RunInProcess(sys, w, opts))
-	wall := time.Since(start)
-
-	vm := sys.Store.VersionMapText()
-	written := sys.Store.TotalWrittenBytes()
+	res, err := oracle.Run(c)
+	must(err)
 	row := reclaimRow{
 		Mode:              mode,
-		Seed:              rcSeed,
-		Sessions:          rcSessions,
-		Depth:             rcDepth,
-		Rounds:            w.Rounds,
-		Steps:             reg.Counter("task.step.complete"),
-		WrittenBytes:      written,
-		LiveBytes:         sys.Store.TotalBytes(),
-		Checkpoints:       checkpoints,
-		ReclaimedVersions: reg.Counter("oct.reclaim.versions"),
-		ReclaimedBytes:    reg.Counter("oct.reclaim.bytes"),
-		WallMS:            float64(wall.Microseconds()) / 1000,
-		VersionSHA:        fmt.Sprintf("%x", sha256.Sum256([]byte(vm))),
-		VisibleSHA:        visibleMapSHA(vm),
+		Seed:              spec.Seed,
+		Sessions:          spec.Sessions,
+		Depth:             spec.Depth,
+		Rounds:            res.Rounds,
+		Steps:             res.Steps,
+		WrittenBytes:      res.Store.TotalWrittenBytes(),
+		LiveBytes:         res.Store.TotalBytes(),
+		Checkpoints:       res.Checkpoints,
+		ReclaimedVersions: res.Metrics.Counter("oct.reclaim.versions"),
+		ReclaimedBytes:    res.Metrics.Counter("oct.reclaim.bytes"),
+		WallMS:            float64(res.Wall.Microseconds()) / 1000,
+		StatsSHA:          res.Stats,
+		VersionSHA:        res.Versions,
+		VisibleSHA:        res.Visible,
+		Recovered:         durable,
 	}
-	if written > 0 {
-		row.Ratio = float64(row.LiveBytes) / float64(written)
+	if row.WrittenBytes > 0 {
+		row.Ratio = float64(row.LiveBytes) / float64(row.WrittenBytes)
 	}
-	// The durable registry carries WAL counters whose grouping depends
-	// on fsync batching; only the volatile cells contribute the
-	// deterministic stats fingerprint.
-	if !durable {
-		row.StatsSHA = statsSHA(reg)
-	}
-	if durable {
-		// Kill (no graceful drain beyond the commit-before-ack contract)
-		// and replay the full log: the recovered store must converge on
-		// the pre-crash content, reclaim records included.
-		preCrash := sys.Store.Fingerprint()
-		must(sys.Close())
-		rec, _, err := core.Recover(cfg, "")
-		must(err)
-		row.Recovered = rec.Store.Fingerprint() == preCrash
-		if !row.Recovered {
-			log.Fatalf("reclaim: recovery diverged (recovered %s, pre-crash %s)",
-				rec.Store.Fingerprint()[:12], preCrash[:12])
-		}
-		must(rec.Close())
-		must(os.RemoveAll(walDir))
-	} else {
-		must(sys.Close())
-	}
-	return row
+	return row, res.Fingerprint
 }
 
 // expReclaim is E17. Fingerprint and recovery divergence are hard
@@ -200,29 +118,25 @@ func runReclaimCell(sweep, durable bool) reclaimRow {
 func expReclaim() {
 	fmt.Println("## E17: bounded-memory soak — incremental reclamation under deep rework")
 	fmt.Printf("(seed %d, %d sessions, depth %d, fanout %d, sweep every %d round(s), budget %d)\n",
-		rcSeed, rcSessions, rcDepth, rcFanout, rcSweep, rcBudget)
+		cellSpec.Seed, cellSpec.Sessions, rcDepth, cellSpec.Fanout, rcSweep, rcBudget)
 	fmt.Println("mode    | rounds | steps | written B | live B | ratio | reclaimed | gates")
 
-	swept := runReclaimCell(true, false)
-	again := runReclaimCell(true, false)
-	if again.VersionSHA != swept.VersionSHA || again.StatsSHA != swept.StatsSHA {
-		log.Fatalf("reclaim: repeat run diverged (versions %s vs %s, stats %s vs %s)",
-			again.VersionSHA[:12], swept.VersionSHA[:12],
-			again.StatsSHA[:12], swept.StatsSHA[:12])
+	swept, want := runReclaimCell(true, false)
+	if _, again := runReclaimCell(true, false); again != want {
+		log.Fatalf("reclaim: repeat run diverged: %s", again.Diff(want))
 	}
-	unswept := runReclaimCell(false, false)
+	unswept, _ := runReclaimCell(false, false)
 	if unswept.VisibleSHA != swept.VisibleSHA {
-		log.Fatalf("reclaim: sweep changed the visible version map (%s vs %s)",
-			swept.VisibleSHA[:12], unswept.VisibleSHA[:12])
+		log.Fatalf("reclaim: sweep changed the visible version map (%.12s vs %.12s)",
+			swept.VisibleSHA, unswept.VisibleSHA)
 	}
 	if unswept.Steps != swept.Steps {
 		log.Fatalf("reclaim: sweep changed completed steps (%d vs %d)",
 			swept.Steps, unswept.Steps)
 	}
-	durable := runReclaimCell(true, true)
-	if durable.VersionSHA != swept.VersionSHA {
-		log.Fatalf("reclaim: WAL-armed run diverged from volatile (%s vs %s)",
-			durable.VersionSHA[:12], swept.VersionSHA[:12])
+	durable, got := runReclaimCell(true, true)
+	if d := got.Diff(want); d != "" {
+		log.Fatalf("reclaim: WAL-armed run diverged from volatile: %s", d)
 	}
 
 	// Bounded-memory gates on the swept reference. The ratio oscillates
@@ -263,13 +177,7 @@ func expReclaim() {
 			r.ReclaimedVersions, gate)
 	}
 
-	f, err := os.Create(rcOut)
-	must(err)
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	must(enc.Encode(rows))
-	must(f.Close())
-	fmt.Printf("wrote %d rows to %s\n", len(rows), rcOut)
+	writeRows(rcOut, rows)
 	// A stable line for scripts/reclaimgate.sh to ratchet on: the worst
 	// final ratio across every sweep-enabled cell.
 	maxRatio := 0.0

@@ -12,19 +12,18 @@ package main
 // host-dependent column (EXPERIMENTS.md E13, like E11).
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
-	"os"
 	"strings"
 	"sync"
 	"time"
 
 	"papyrus/internal/client"
 	"papyrus/internal/obs"
+	"papyrus/internal/oct"
+	"papyrus/internal/oracle"
 	"papyrus/internal/server"
 )
 
@@ -202,11 +201,11 @@ func expServe() {
 		}
 	}
 
-	// Fingerprint the per-shard version maps, shard order.
-	var fp strings.Builder
-	for i := 0; i < serveShards; i++ {
-		fmt.Fprintf(&fp, "shard %d\n%s", i, srv.ShardSystem(i).Store.VersionMapText())
+	stores := make([]*oct.Store, serveShards)
+	for i := range stores {
+		stores[i] = srv.ShardSystem(i).Store
 	}
+	versionSHA := oracle.Sharded(stores...)
 	must(httpSrv.Close())
 	must(srv.Close())
 
@@ -230,7 +229,7 @@ func expServe() {
 		Throttled:   reg.Counter("server.admit.throttle"),
 		Shed:        reg.Counter("server.admit.shed"),
 		Retries:     retries,
-		VersionSHA:  fmt.Sprintf("%x", sha256.Sum256([]byte(fp.String()))),
+		VersionSHA:  versionSHA,
 	}
 
 	fmt.Println("sessions | steps | wall ms | steps/sec | task p50 ms | task p99 ms | all p99 ms | throttled | shed | retries | versions")
@@ -245,13 +244,7 @@ func expServe() {
 			strings.TrimSuffix(strings.TrimPrefix(h, "e13."), ".us"), q(h, 0.50), q(h, 0.99), hs.Count)
 	}
 
-	f, err := os.Create(serveOut)
-	must(err)
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	must(enc.Encode([]serveRow{row}))
-	must(f.Close())
-	fmt.Printf("wrote %s\n", serveOut)
+	writeRows(serveOut, []serveRow{row})
 
 	wantSteps := int64(serveSessions) * 4
 	if steps != wantSteps {

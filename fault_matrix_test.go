@@ -10,18 +10,16 @@ package papyrus
 // (.github/workflows/ci.yml, docs/FAULTS.md).
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
 	"papyrus/internal/cad"
 	"papyrus/internal/cad/logic"
 	"papyrus/internal/core"
 	"papyrus/internal/fault"
-	"papyrus/internal/memo"
 	"papyrus/internal/obs"
 	"papyrus/internal/oct"
+	"papyrus/internal/oracle"
 	"papyrus/internal/task"
 	"papyrus/internal/workload"
 )
@@ -35,6 +33,8 @@ step S3 {C} {O3} {burn -o O3 C}
 step S4 {D} {O4} {burn -o O4 D}
 `
 
+// faultWorkload runs the Crashy task under a fault plan and returns the
+// oracle's stats export plus the makespan, the system, and its registry.
 func faultWorkload(t *testing.T, planText string, workers int) (string, *core.System, *obs.Registry) {
 	t.Helper()
 	return faultWorkloadDurable(t, planText, workers, nil)
@@ -42,8 +42,8 @@ func faultWorkload(t *testing.T, planText string, workers int) (string, *core.Sy
 
 // faultWorkloadDurable is faultWorkload with an optional write-ahead
 // log: the batched group-commit fault cell runs the same seeded plan
-// with durability armed and must be indistinguishable outside the
-// wal.* namespace.
+// with durability armed and must be indistinguishable; the oracle's
+// export leaves the wal.* namespace out.
 func faultWorkloadDurable(t *testing.T, planText string, workers int, durable *core.DurabilityConfig) (string, *core.System, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -97,12 +97,7 @@ func faultWorkloadDurable(t *testing.T, planText string, workers int, durable *c
 	if len(rec.Steps) != 4 {
 		t.Fatalf("plan %q: %d steps recorded, want 4", planText, len(rec.Steps))
 	}
-	var buf bytes.Buffer
-	if err := reg.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(&buf, "makespan %d\n", sys.Cluster.Now())
-	return buf.String(), sys, reg
+	return fmt.Sprintf("%smakespan %d\n", oracle.StatsText(reg), sys.Cluster.Now()), sys, reg
 }
 
 func TestFaultMatrixByteIdenticalStats(t *testing.T) {
@@ -180,99 +175,41 @@ func TestCrashedNodeRecoveryNoDuplicateVersions(t *testing.T) {
 	}
 }
 
-// walFilteredStats renders the registry without the wal.* namespace —
-// the only export a durability mode may add — plus the makespan, so
-// durable and non-durable cells of the same seeded plan are comparable.
-func walFilteredStats(t *testing.T, reg *obs.Registry, sys *core.System) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := reg.WriteTextFiltered(&buf, func(name string) bool {
-		return !strings.HasPrefix(name, "wal.")
-	}); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(&buf, "makespan %d\n", sys.Cluster.Now())
-	return buf.String()
-}
-
-// runStormCell drives the generated storm workload profile — multi-
-// session abort/retry storms under its own seeded fault plan — and
-// returns the memo-filtered stats export and the final system. The memo
-// namespace is the one export a cache may add (docs/CACHING.md).
-func runStormCell(t *testing.T, withMemo bool) (string, *core.System, *obs.Registry) {
-	t.Helper()
-	w, err := workload.Generate(workload.Spec{
-		Profile: "storm", Seed: 11, Sessions: 3, Depth: 5, Fanout: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	cfg := w.CoreConfig(core.Config{Nodes: 4, DisableInference: true, Metrics: reg})
-	if withMemo {
-		cfg.Memo = memo.NewCache()
-	}
-	sys, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := workload.RunInProcess(sys, w, workload.Options{}); err != nil {
-		t.Fatalf("storm did not survive its own fault plan: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := reg.WriteTextFiltered(&buf, func(name string) bool {
-		return !strings.HasPrefix(name, "memo.")
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String(), sys, reg
-}
-
 // TestFaultMatrixStormWorkload is the generated-workload cell of the
 // matrix: the E15 storm profile (per-session fault arming, abort/erase
 // salvage rounds) must inject real faults, retry through them, commit
-// every round, leave exactly one OCT version per object name, and be
-// byte-identical across repeat runs and across memo on/off outside the
-// memo.* namespace.
+// every round, leave exactly one OCT version per object name, and
+// fingerprint identically across repeat runs and across memo on/off.
 func TestFaultMatrixStormWorkload(t *testing.T) {
-	first, sys, reg := runStormCell(t, false)
-	if got := reg.Counter("fault.injected.stepfail"); got < 1 {
-		t.Errorf("fault.injected.stepfail = %d, want >= 1 (the storm plan must fire)", got)
-	}
-	if got := reg.Counter("task.step.retry"); got < 1 {
-		t.Errorf("task.step.retry = %d, want >= 1", got)
-	}
-	for _, name := range sys.Store.Names() {
-		if vs := sys.Store.Versions(name); len(vs) != 1 {
-			t.Errorf("object %s has %d versions, want 1 (duplicate write after abort/retry)", name, len(vs))
+	storm := oracle.Cell{Spec: workload.Spec{Profile: "storm", Seed: 11, Sessions: 3, Depth: 5, Fanout: 3}}
+	withMemo := storm
+	withMemo.Memo = true
+	var ref oracle.Result
+	for i, c := range []oracle.Cell{storm, storm, withMemo, withMemo} {
+		res, err := oracle.Run(c)
+		if err != nil {
+			t.Fatalf("cell %d (memo=%v): storm did not survive its own fault plan: %v", i, c.Memo, err)
 		}
-	}
-	wantVersions := sys.Store.VersionMapText()
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	second, sys2, _ := runStormCell(t, false)
-	if second != first {
-		t.Errorf("storm stats not byte-identical across runs:\n--- run 1 ---\n%s--- run 2 ---\n%s", first, second)
-	}
-	if err := sys2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for i := 0; i < 2; i++ {
-		stats, msys, mreg := runStormCell(t, true)
-		if stats != first {
-			t.Errorf("memo run %d: filtered stats diverge from the memo-free reference:\n%s\nvs\n%s", i, stats, first)
+		if i == 0 {
+			ref = res
+			if got := res.Metrics.Counter("fault.injected.stepfail"); got < 1 {
+				t.Errorf("fault.injected.stepfail = %d, want >= 1 (the storm plan must fire)", got)
+			}
+			if got := res.Metrics.Counter("task.step.retry"); got < 1 {
+				t.Errorf("task.step.retry = %d, want >= 1", got)
+			}
+			for _, name := range res.Store.Names() {
+				if vs := res.Store.Versions(name); len(vs) != 1 {
+					t.Errorf("object %s has %d versions, want 1 (duplicate write after abort/retry)", name, len(vs))
+				}
+			}
+			continue
 		}
-		if got := msys.Store.VersionMapText(); got != wantVersions {
-			t.Errorf("memo run %d: version map diverges:\n%s\nvs\n%s", i, got, wantVersions)
+		if d := res.Diff(ref.Fingerprint); d != "" {
+			t.Errorf("cell %d (memo=%v): diverged from the memo-free reference: %s", i, c.Memo, d)
 		}
-		if got := mreg.Counter("memo.miss"); got < 1 {
-			t.Errorf("memo run %d: memo.miss = %d, want >= 1 (the cache must have been keyed)", i, got)
-		}
-		if err := msys.Close(); err != nil {
-			t.Fatal(err)
+		if got := res.Metrics.Counter("memo.miss"); c.Memo && got < 1 {
+			t.Errorf("cell %d: memo.miss = %d, want >= 1 (the cache must have been keyed)", i, got)
 		}
 	}
 }
@@ -286,14 +223,13 @@ func TestFaultMatrixStormWorkload(t *testing.T) {
 // computes.
 func TestFaultMatrixGroupCommitDurability(t *testing.T) {
 	const plan = "seed=7,crash=1@40-600,stepfail=*:0.5:2,stall=0.5:9"
-	_, refSys, refReg := faultWorkload(t, plan, 8)
-	wantStats := walFilteredStats(t, refReg, refSys)
+	wantStats, refSys, _ := faultWorkload(t, plan, 8)
 	wantVersions := refSys.Store.VersionMapText()
 
 	for _, fsyncEvery := range []int64{1, 8} {
-		_, sys, reg := faultWorkloadDurable(t, plan, 8,
+		got, sys, reg := faultWorkloadDurable(t, plan, 8,
 			&core.DurabilityConfig{Dir: t.TempDir(), FsyncEvery: fsyncEvery})
-		if got := walFilteredStats(t, reg, sys); got != wantStats {
+		if got != wantStats {
 			t.Errorf("fsyncEvery=%d: stats diverge from the non-durable reference:\n%s\nvs\n%s",
 				fsyncEvery, got, wantStats)
 		}

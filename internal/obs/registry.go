@@ -259,10 +259,9 @@ func (r *Registry) WriteText(w io.Writer) error {
 
 // WriteTextFiltered writes the snapshot like WriteText, restricted to the
 // metric names keep returns true for (nil keeps everything). Counter and
-// histogram headers count only the kept entries. The determinism
-// fingerprints use it to exclude the memo.* namespace — the only
-// namespace permitted to differ between memo-on and memo-off runs of an
-// otherwise identical workload (docs/CACHING.md).
+// histogram headers count only the kept entries. internal/oracle uses it
+// to leave the namespaces the determinism contract excludes out of every
+// stats fingerprint (DESIGN.md §5b).
 func (r *Registry) WriteTextFiltered(w io.Writer, keep func(name string) bool) error {
 	s := r.Snapshot()
 	names := make([]string, 0, len(s.Counters))

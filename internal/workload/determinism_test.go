@@ -1,65 +1,41 @@
-package workload
+package workload_test
 
 // The E15 determinism property: one Spec produces byte-identical TDL
-// scripts, and its in-process run leaves a byte-identical store version
-// map and stats export behind at any worker count (1, 4, 8), any store
-// stripe count (1 vs 64), and under the round-barrier driver vs the
-// free-running one (non-cooperating profiles). CI runs this file under
-// -race, so the invariance is proven against real concurrency.
+// scripts, and every cell of it leaves the same internal/oracle
+// fingerprint behind at any worker count (1, 4, 8), any store stripe
+// count (1 vs 64), under the round-barrier driver vs the free-running
+// one, and over the papyrusd wire path. CI runs this file under -race,
+// so the invariance is proven against real concurrency. It is an
+// external test package because the oracle imports workload.
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"fmt"
 	"testing"
 
-	"papyrus/internal/core"
-	"papyrus/internal/obs"
+	"papyrus/internal/oracle"
+	"papyrus/internal/workload"
 )
 
 // testSpec keeps matrix cells small enough for -race.
-func testSpec(profile string) Spec {
-	return Spec{Profile: profile, Seed: 11, Sessions: 3, Depth: 4, Fanout: 3}
+func testSpec(profile string) workload.Spec {
+	return workload.Spec{Profile: profile, Seed: 11, Sessions: 3, Depth: 4, Fanout: 3}
 }
 
-// runFingerprints drives one profile in-process and returns
-// (versionSHA, statsSHA) of the final store and registry.
-func runFingerprints(t *testing.T, spec Spec, workers, stripes int, opts Options) (string, string) {
+func run(t *testing.T, c oracle.Cell) oracle.Result {
 	t.Helper()
-	w, err := Generate(spec)
+	res, err := oracle.Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	sys, err := core.New(w.CoreConfig(core.Config{
-		Nodes:            4,
-		Workers:          workers,
-		StoreStripes:     stripes,
-		DisableInference: true,
-		Metrics:          reg,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	if err := RunInProcess(sys, w, opts); err != nil {
-		t.Fatal(err)
-	}
-	var stats bytes.Buffer
-	if err := reg.WriteText(&stats); err != nil {
-		t.Fatal(err)
-	}
-	return fmt.Sprintf("%x", sha256.Sum256([]byte(sys.Store.VersionMapText()))),
-		fmt.Sprintf("%x", sha256.Sum256(stats.Bytes()))
+	return res
 }
 
 func TestScriptTextByteIdentical(t *testing.T) {
-	for _, profile := range Profiles() {
-		a, err := Generate(testSpec(profile))
+	for _, profile := range workload.Profiles() {
+		a, err := workload.Generate(testSpec(profile))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Generate(testSpec(profile))
+		b, err := workload.Generate(testSpec(profile))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,31 +50,19 @@ func TestScriptTextByteIdentical(t *testing.T) {
 }
 
 func TestRunFingerprintsWorkerAndStripeInvariant(t *testing.T) {
-	for _, profile := range Profiles() {
+	for _, profile := range workload.Profiles() {
 		profile := profile
 		t.Run(profile, func(t *testing.T) {
-			spec := testSpec(profile)
-			refV, refS := runFingerprints(t, spec, 1, 1, Options{})
-			againV, againS := runFingerprints(t, spec, 1, 1, Options{})
-			if againV != refV || againS != refS {
-				t.Fatalf("repeat run diverged: versions %s vs %s, stats %s vs %s",
-					againV[:12], refV[:12], againS[:12], refS[:12])
+			ref := oracle.Cell{Spec: testSpec(profile), Workers: 1, Stripes: 1}
+			want := run(t, ref).Fingerprint
+			if d := run(t, ref).Diff(want); d != "" {
+				t.Fatalf("repeat run diverged: %s", d)
 			}
-			for _, workers := range []int{4, 8} {
-				v, s := runFingerprints(t, spec, workers, 1, Options{})
-				if v != refV {
-					t.Errorf("workers=%d: version map diverged (%s vs %s)", workers, v[:12], refV[:12])
+			for _, k := range []struct{ workers, stripes int }{{4, 1}, {8, 1}, {4, 64}} {
+				c := oracle.Cell{Spec: ref.Spec, Workers: k.workers, Stripes: k.stripes}
+				if d := run(t, c).Diff(want); d != "" {
+					t.Errorf("workers=%d stripes=%d: %s", k.workers, k.stripes, d)
 				}
-				if s != refS {
-					t.Errorf("workers=%d: stats diverged (%s vs %s)", workers, s[:12], refS[:12])
-				}
-			}
-			v, s := runFingerprints(t, spec, 4, 64, Options{})
-			if v != refV {
-				t.Errorf("stripes=64: version map diverged (%s vs %s)", v[:12], refV[:12])
-			}
-			if s != refS {
-				t.Errorf("stripes=64: stats diverged (%s vs %s)", s[:12], refS[:12])
 			}
 		})
 	}
@@ -110,12 +74,12 @@ func TestRunFingerprintsWorkerAndStripeInvariant(t *testing.T) {
 // the designer count — and pins repeat-run identity there too.
 func TestDeepCooperatingProfilesRepeatable(t *testing.T) {
 	for _, profile := range []string{"collab", "agentic"} {
-		spec := Spec{Profile: profile, Seed: 3, Sessions: 2, Depth: 8, Fanout: 2}
-		v1, s1 := runFingerprints(t, spec, 4, 1, Options{})
-		v2, s2 := runFingerprints(t, spec, 4, 1, Options{})
-		if v1 != v2 || s1 != s2 {
-			t.Errorf("%s: deep run not repeatable (versions %s vs %s, stats %s vs %s)",
-				profile, v1[:12], v2[:12], s1[:12], s2[:12])
+		c := oracle.Cell{
+			Spec:    workload.Spec{Profile: profile, Seed: 3, Sessions: 2, Depth: 8, Fanout: 2},
+			Workers: 4, Stripes: 1,
+		}
+		if d := run(t, c).Diff(run(t, c).Fingerprint); d != "" {
+			t.Errorf("%s: deep run not repeatable: %s", profile, d)
 		}
 	}
 }
@@ -126,20 +90,43 @@ func TestDeepCooperatingProfilesRepeatable(t *testing.T) {
 // not compared — the barrier driver runs reclaim hooks and session
 // opening differently; the store is the contract.)
 func TestForceRoundsMatchesFreeRunning(t *testing.T) {
-	for _, profile := range Profiles() {
-		spec := testSpec(profile)
-		w, err := Generate(spec)
+	for _, profile := range workload.Profiles() {
+		w, err := workload.Generate(testSpec(profile))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if w.Coop {
 			continue // always round-driven; nothing to compare
 		}
-		freeV, _ := runFingerprints(t, spec, 4, 1, Options{})
-		roundV, _ := runFingerprints(t, spec, 4, 1, Options{ForceRounds: true})
-		if freeV != roundV {
-			t.Errorf("%s: round-barrier driver diverged from free-running (%s vs %s)",
-				profile, roundV[:12], freeV[:12])
+		c := oracle.Cell{Spec: testSpec(profile), Workers: 4, Stripes: 1}
+		free := run(t, c)
+		c.ForceRounds = true
+		if round := run(t, c); round.Versions != free.Versions {
+			t.Errorf("%s: round-barrier driver diverged from free-running (%.12s vs %.12s)",
+				profile, round.Versions, free.Versions)
 		}
+	}
+}
+
+// TestWireMatchesInProcess is the cross-path half of the contract: a
+// profile driven through a single-shard papyrusd must leave the same
+// fingerprint behind as the in-process driver (oracle.WireStatsExempt
+// compares its version map only). The profiles chosen here exercise
+// every wire verb: rework (record rework + erase), collab (contribute /
+// retrieve / watch / space sequence), replay (initial-point rework +
+// history replay), agentic (inference queries).
+func TestWireMatchesInProcess(t *testing.T) {
+	for _, profile := range []string{"rework", "collab", "replay", "agentic"} {
+		profile := profile
+		t.Run(profile, func(t *testing.T) {
+			core := run(t, oracle.Cell{Spec: testSpec(profile), Workers: 4, Stripes: 1})
+			wire := run(t, oracle.Cell{Spec: testSpec(profile), Workers: 4, Wire: true})
+			if profile == oracle.WireStatsExempt {
+				wire.Stats = core.Stats
+			}
+			if d := wire.Diff(core.Fingerprint); d != "" {
+				t.Errorf("wire diverged from in-process: %s", d)
+			}
+		})
 	}
 }

@@ -90,13 +90,8 @@ func RunInProcess(sys *core.System, w *Workload, opts Options) error {
 			Name: fmt.Sprintf("d%d", i),
 			Run: func(s *core.Session) error {
 				d := newDesigner(w, i, newProcEnv(sys, s, fmt.Sprintf("wl-%s-d%d", w.Spec.Profile, i), "workload"))
-				if err := w.prof.setup(d); err != nil {
-					return fmt.Errorf("workload %s d%d setup: %w", w.Spec.Profile, i, err)
-				}
-				for r := 0; r < w.Rounds; r++ {
-					if err := w.prof.round(d, r); err != nil {
-						return fmt.Errorf("workload %s d%d round %d: %w", w.Spec.Profile, i, r, err)
-					}
+				if err := w.runAll(d); err != nil {
+					return fmt.Errorf("workload %s d%d %w", w.Spec.Profile, i, err)
 				}
 				return nil
 			},
@@ -106,8 +101,8 @@ func RunInProcess(sys *core.System, w *Workload, opts Options) error {
 	return err
 }
 
-// runRounds is the barrier driver: per-designer OpenSession stacks, all
-// designers concurrent within a phase, a full barrier between phases.
+// runRounds is the in-process barrier driver: per-designer OpenSession
+// stacks, a sweep and the OnRound probe at every round barrier.
 func runRounds(sys *core.System, w *Workload, opts Options) error {
 	restore := sys.SuppressSharedTraces()
 	defer restore()
@@ -120,7 +115,37 @@ func runRounds(sys *core.System, w *Workload, opts Options) error {
 		}
 		designers[i] = newDesigner(w, i, newProcEnv(sys, sess, fmt.Sprintf("wl-%s-d%d", w.Spec.Profile, i), "workload"))
 	}
+	return w.drive(designers, true, func(r int) error {
+		if opts.SweepEveryRounds > 0 && (r+1)%opts.SweepEveryRounds == 0 {
+			if _, err := sys.Reclaimer.Sweep(opts.SweepBudget); err != nil {
+				return err
+			}
+		}
+		if opts.OnRound != nil {
+			return opts.OnRound(r)
+		}
+		return nil
+	})
+}
 
+// runAll runs one designer's setup and every round.
+func (w *Workload) runAll(d *Designer) error {
+	if err := w.prof.setup(d); err != nil {
+		return fmt.Errorf("setup: %w", err)
+	}
+	for r := 0; r < w.Rounds; r++ {
+		if err := w.prof.round(d, r); err != nil {
+			return fmt.Errorf("round %d: %w", r, err)
+		}
+	}
+	return nil
+}
+
+// drive runs the designers concurrently. Without barriers each runs its
+// whole script in one phase; with them every designer finishes a phase
+// (setup, then each round) before any starts the next, and barrier runs
+// after each round.
+func (w *Workload) drive(designers []*Designer, barriers bool, barrier func(r int) error) error {
 	phase := func(label string, fn func(d *Designer) error) error {
 		errs := make([]error, len(designers))
 		var wg sync.WaitGroup
@@ -140,6 +165,9 @@ func runRounds(sys *core.System, w *Workload, opts Options) error {
 		return nil
 	}
 
+	if !barriers {
+		return phase("run", w.runAll)
+	}
 	if err := phase("setup", w.prof.setup); err != nil {
 		return err
 	}
@@ -150,13 +178,8 @@ func runRounds(sys *core.System, w *Workload, opts Options) error {
 		}); err != nil {
 			return err
 		}
-		if opts.SweepEveryRounds > 0 && (r+1)%opts.SweepEveryRounds == 0 {
-			if _, err := sys.Reclaimer.Sweep(opts.SweepBudget); err != nil {
-				return err
-			}
-		}
-		if opts.OnRound != nil {
-			if err := opts.OnRound(r); err != nil {
+		if barrier != nil {
+			if err := barrier(r); err != nil {
 				return err
 			}
 		}

@@ -10,7 +10,6 @@ package workload
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"papyrus/internal/client"
@@ -151,49 +150,5 @@ func RunWire(c *client.Client, w *Workload, tenant string) error {
 		designers[i] = newDesigner(w, i, &wireEnv{c: c, session: info.ID})
 	}
 
-	phase := func(label string, fn func(d *Designer) error) error {
-		errs := make([]error, len(designers))
-		var wg sync.WaitGroup
-		for i, d := range designers {
-			wg.Add(1)
-			go func(i int, d *Designer) {
-				defer wg.Done()
-				errs[i] = fn(d)
-			}(i, d)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				return fmt.Errorf("workload %s d%d %s: %w", w.Spec.Profile, i, label, err)
-			}
-		}
-		return nil
-	}
-
-	if !w.Coop {
-		// Independent designers: one phase covering setup plus all rounds.
-		return phase("run", func(d *Designer) error {
-			if err := w.prof.setup(d); err != nil {
-				return fmt.Errorf("setup: %w", err)
-			}
-			for r := 0; r < w.Rounds; r++ {
-				if err := w.prof.round(d, r); err != nil {
-					return fmt.Errorf("round %d: %w", r, err)
-				}
-			}
-			return nil
-		})
-	}
-	if err := phase("setup", w.prof.setup); err != nil {
-		return err
-	}
-	for r := 0; r < w.Rounds; r++ {
-		r := r
-		if err := phase(fmt.Sprintf("round %d", r), func(d *Designer) error {
-			return w.prof.round(d, r)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.drive(designers, w.Coop, nil)
 }

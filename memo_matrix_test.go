@@ -4,7 +4,7 @@ package papyrus
 // E12). Two contracts, each checked at worker counts {1, 4, 16}:
 //
 //  1. Cold workload (multi-session fan-out, fresh cache, disjoint input
-//     namespaces -> every step misses): the memo-filtered stats export,
+//     namespaces -> every step misses): the oracle's stats export,
 //     the merged trace, and the store version map must be byte-identical
 //     with the cache on and off — keying and populating are pure
 //     observers of a miss-only run.
@@ -24,7 +24,6 @@ package papyrus
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
 	"papyrus/internal/activity"
@@ -34,6 +33,7 @@ import (
 	"papyrus/internal/memo"
 	"papyrus/internal/obs"
 	"papyrus/internal/oct"
+	"papyrus/internal/oracle"
 )
 
 const memoFanoutTpl = `task Fanout4 {A B C D} {O1 O2 O3 O4}
@@ -51,22 +51,9 @@ step {2 Optimize} {m1} {m2} {misII -o m2 m1}
 step {3 Finish} {m2} {Out} {misII -o Out m2}
 `
 
-// filteredStats renders the registry without the memo.* namespace — the
-// only export permitted to differ between memo-on and memo-off runs of
-// an all-miss workload.
-func filteredStats(t *testing.T, reg *obs.Registry) string {
-	t.Helper()
-	var b bytes.Buffer
-	if err := reg.WriteTextFiltered(&b, func(name string) bool {
-		return !strings.HasPrefix(name, "memo.")
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
-}
-
 // runMemoColdCell executes 6 disjoint fan-out sessions and returns the
-// deterministic exports (filtered stats, version map, merged trace).
+// deterministic exports (the oracle's stats export, version map, merged
+// trace).
 func runMemoColdCell(t *testing.T, workers int, withMemo bool) (stats, versions, trace string) {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -129,7 +116,7 @@ func runMemoColdCell(t *testing.T, workers int, withMemo bool) (stats, versions,
 			t.Fatalf("cold cell workers=%d: cache holds %d entries, want %d", workers, got, 4*sessions)
 		}
 	}
-	return filteredStats(t, reg), sys.Store.VersionMapText(), traceBuf.String()
+	return oracle.StatsText(reg), sys.Store.VersionMapText(), traceBuf.String()
 }
 
 func TestMemoMatrixColdRunInvariant(t *testing.T) {
@@ -155,7 +142,8 @@ func TestMemoMatrixColdRunInvariant(t *testing.T) {
 
 // replayWorkload runs Fanout4 plus the intermediate chain in one thread,
 // moves the cursor back to the initial state, and redoes both records.
-// Returns the system and the full (unfiltered) stats export.
+// Returns the system and the full stats export: memo.* included, so this
+// within-setting check is stricter than the oracle's rule.
 func replayWorkload(t *testing.T, workers int, withMemo bool) (*core.System, string) {
 	t.Helper()
 	reg := obs.NewRegistry()

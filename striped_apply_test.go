@@ -19,6 +19,7 @@ import (
 	"papyrus/internal/core"
 	"papyrus/internal/obs"
 	"papyrus/internal/oct"
+	"papyrus/internal/oracle"
 )
 
 // runStripedCell executes 4 disjoint fan-out sessions over a shared
@@ -69,14 +70,11 @@ func runStripedCell(t *testing.T, stripes, workers int) (stats, versions, trace 
 	if _, err := sys.RunSessions(specs); err != nil {
 		t.Fatal(err)
 	}
-	var statsBuf, traceBuf bytes.Buffer
-	if err := reg.WriteText(&statsBuf); err != nil {
-		t.Fatal(err)
-	}
+	var traceBuf bytes.Buffer
 	if err := tracer.WriteChromeTrace(&traceBuf); err != nil {
 		t.Fatal(err)
 	}
-	return statsBuf.String(), sys.Store.VersionMapText(), traceBuf.String()
+	return oracle.StatsText(reg), sys.Store.VersionMapText(), traceBuf.String()
 }
 
 func TestStripedApplyInvariance(t *testing.T) {
