@@ -1,37 +1,28 @@
-.PHONY: check coverage perfgate reclaimgate profile lint vet build test fmt
+.PHONY: check ratchet profile lint vet build test fmt
 
 # The repository gate: exactly what CI runs (scripts/check.sh), stdlib
 # toolchain only. Keep this the single local gate.
 check:
 	./scripts/check.sh
 
-# Coverage ratchet against scripts/coverage_floor.txt; raise the floor
-# with `./scripts/coverage.sh -record` when coverage improves.
-coverage:
-	./scripts/coverage.sh
-
-# Perf ratchet against scripts/perf_floor.txt (E11 speedup floor and
-# allocs/step ceiling); re-record the ceiling with
-# `./scripts/perfgate.sh -record` when the hot path gets cheaper.
-perfgate:
-	./scripts/perfgate.sh
-
-# Bounded-memory ratchet against scripts/reclaim_floor.txt (the E17
-# reclaim soak's live/written ratio ceiling); re-record with
-# `./scripts/reclaimgate.sh -record` when reclamation gets tighter.
-reclaimgate:
-	./scripts/reclaimgate.sh
+# Every bound in scripts/floors.txt: the coverage floor, the E17 reclaim
+# soak's live/written ceiling, and perfbench's per-step count ceilings.
+# Tighten a group's bounds with `./scripts/ratchet.sh <group> -record`.
+ratchet:
+	./scripts/ratchet.sh coverage
+	./scripts/ratchet.sh reclaim
+	./scripts/ratchet.sh counts
 
 # Local profiling bundle in perf/: pprof CPU + heap profiles and the
-# alloc-annotated E11 scale table, plus the hot-path microbenchmarks.
-# Inspect with `go tool pprof perf/cpu.pprof`.
+# E11 scale table, the hot-path microbenchmarks, and perfbench's
+# per-step counts on redo. Inspect with `go tool pprof perf/cpu.pprof`.
 profile:
 	mkdir -p perf
 	go run ./cmd/benchtool -exp scale -scalesessions 16 -scaleworkers 1,4,8 \
-		-benchmem -cpuprofile perf/cpu.pprof -memprofile perf/mem.pprof \
-		-scaleout perf/scale.json
+		-cpuprofile perf/cpu.pprof -memprofile perf/mem.pprof -out perf
 	go test -run - -bench . -benchmem . ./internal/oct ./internal/memo ./internal/wal \
 		| tee perf/microbench.txt
+	bash perfbench/run.sh --workload redo --seed 1 --seconds 5 --trace 1
 
 # staticcheck + govulncheck at the versions pinned in scripts/lint.sh;
 # skips tools that are not installed locally (CI installs them).

@@ -42,16 +42,15 @@ func TestScaleExperiment(t *testing.T) {
 	dir := t.TempDir()
 	scaleSessions, scaleWorkers = "2", "1,2"
 	scaleLatency, scaleMin = 100*time.Microsecond, 0
-	scaleOut = filepath.Join(dir, "scale.json")
-	benchMem = true
+	outDir = dir
 	summaryPath = filepath.Join(dir, "summary.md")
 	benchGateErrs = nil
-	defer func() { benchMem, summaryPath, benchGateErrs = false, "", nil }()
+	defer func() { summaryPath, benchGateErrs = "", nil }()
 
 	for _, memo := range []bool{false, true} {
 		scaleMemo = memo
 		expScale()
-		raw, err := os.ReadFile(scaleOut)
+		raw, err := os.ReadFile(filepath.Join(dir, "BENCH_scale.json"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,12 +66,6 @@ func TestScaleExperiment(t *testing.T) {
 		if rows[0].StatsSHA == "" || rows[0].VersionSHA == "" {
 			t.Fatalf("memo=%v: empty fingerprints: %+v", memo, rows[0])
 		}
-		for _, row := range rows {
-			if row.AllocsPerStep <= 0 || row.BytesPerStep <= 0 {
-				t.Errorf("memo=%v workers=%d: -benchmem left allocs/step=%.1f bytes/step=%.1f",
-					memo, row.Workers, row.AllocsPerStep, row.BytesPerStep)
-			}
-		}
 	}
 	if len(benchGateErrs) != 0 {
 		t.Fatalf("gates tripped with no thresholds set: %v", benchGateErrs)
@@ -81,37 +74,33 @@ func TestScaleExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(md), "### E11 scale") || !strings.Contains(string(md), "| allocs/step |") {
+	if !strings.Contains(string(md), "### E11 scale") {
 		t.Errorf("summary table missing expected sections:\n%s", md)
 	}
 }
 
-// TestScaleGatesDefer exercises the deferred-gate path: an absurd alloc
-// ceiling and a regression floor above perfect scaling must both record
-// violations without aborting the run (profiles/summaries flush first;
-// main exits non-zero afterwards).
+// TestScaleGatesDefer exercises the deferred-gate path: a regression
+// floor above perfect scaling must record a violation without aborting
+// the run (profiles/summaries flush first; main exits non-zero
+// afterwards).
 func TestScaleGatesDefer(t *testing.T) {
 	scaleSessions, scaleWorkers = "2", "1,2"
 	scaleLatency, scaleMin = 100*time.Microsecond, 0
-	scaleOut = filepath.Join(t.TempDir(), "scale.json")
+	outDir = t.TempDir()
 	scaleMemo = false
-	benchMem = true
-	scaleAllocMax = 0.5   // impossible: every step allocates something
 	scaleRegress = 1000.0 // impossible: demands 1000x scaling from 1->2 workers
 	benchGateErrs = nil
-	defer func() {
-		benchMem, scaleAllocMax, scaleRegress, benchGateErrs = false, 0, 0, nil
-	}()
+	defer func() { scaleRegress, benchGateErrs = 0, nil }()
 
 	expScale() // must return, not exit
-	if len(benchGateErrs) != 2 {
-		t.Fatalf("want 2 recorded gate violations (alloc + regression), got %v", benchGateErrs)
+	if len(benchGateErrs) != 1 {
+		t.Fatalf("want 1 recorded gate violation (regression), got %v", benchGateErrs)
 	}
 }
 
 func TestReplayExperiment(t *testing.T) {
-	replayWorkers, replayMin = "1,2", 3
-	replayOut = filepath.Join(t.TempDir(), "replay.json")
+	replayWorkers = "1,2"
+	outDir = t.TempDir()
 	benchGateErrs = nil
 	defer func() { benchGateErrs = nil }()
 
@@ -121,7 +110,7 @@ func TestReplayExperiment(t *testing.T) {
 		t.Fatalf("replay gate tripped: %v", benchGateErrs)
 	}
 
-	raw, err := os.ReadFile(replayOut)
+	raw, err := os.ReadFile(filepath.Join(outDir, "BENCH_replay.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +139,7 @@ func TestServeExperiment(t *testing.T) {
 	serveSessions, serveShards, serveWorkers, serveTenants = 8, 2, 4, 4
 	serveRate, serveBurst, serveQueue = 0, 0, 256
 	serveMin, serveP99 = 1, 60000 // loose thresholds: exercise the gate code, catch only collapse
-	serveOut = filepath.Join(dir, "serve.json")
+	outDir = dir
 	summaryPath = filepath.Join(dir, "summary.md")
 	benchGateErrs = nil
 	defer func() { summaryPath, benchGateErrs = "", nil }()
@@ -160,7 +149,7 @@ func TestServeExperiment(t *testing.T) {
 	if len(benchGateErrs) != 0 {
 		t.Fatalf("serve gates tripped: %v", benchGateErrs)
 	}
-	raw, err := os.ReadFile(serveOut)
+	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_serve.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +186,7 @@ func TestWorkloadExperiment(t *testing.T) {
 	wlProfiles = "interactive,agentic"
 	cellSpec.Seed, cellSpec.Sessions, cellSpec.Fanout, wlDepth = 11, 2, 3, 3
 	wlWorkers, wlMin = "1,2", 1
-	wlOut = filepath.Join(dir, "workload.json")
+	outDir = dir
 	summaryPath = filepath.Join(dir, "summary.md")
 	benchGateErrs = nil
 	defer func() { summaryPath, benchGateErrs = "", nil }()
@@ -207,7 +196,7 @@ func TestWorkloadExperiment(t *testing.T) {
 	if len(benchGateErrs) != 0 {
 		t.Fatalf("workload gates tripped: %v", benchGateErrs)
 	}
-	raw, err := os.ReadFile(wlOut)
+	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_workload.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,14 +230,13 @@ func TestWorkloadExperiment(t *testing.T) {
 // WAL-armed with crash recovery). The repeat, modulo-reclaimed,
 // step-identity, and recovery gates all log.Fatal inside expReclaim on
 // divergence — the same check CI's reclaim-soak job performs at full
-// depth. The ratio-shape gates stay off: they need depth >= 128 so both
-// soak halves contain kept chains (docs/RECLAIM.md).
+// depth. The growth gate stays off: it runs only at depth >= 128,
+// where both soak halves contain kept chains (docs/RECLAIM.md).
 func TestReclaimExperiment(t *testing.T) {
 	dir := t.TempDir()
 	cellSpec.Seed, cellSpec.Sessions, cellSpec.Fanout, rcDepth = 11, 2, 2, 8
 	rcWorkers, rcSweep, rcBudget = 2, 1, 0
-	rcGrowth, rcMaxRatio = 0, 0
-	rcOut = filepath.Join(dir, "reclaim.json")
+	outDir = dir
 	summaryPath = filepath.Join(dir, "summary.md")
 	benchGateErrs = nil
 	defer func() { summaryPath, benchGateErrs = "", nil }()
@@ -256,9 +244,9 @@ func TestReclaimExperiment(t *testing.T) {
 	expReclaim()
 
 	if len(benchGateErrs) != 0 {
-		t.Fatalf("reclaim gates tripped with no floor set: %v", benchGateErrs)
+		t.Fatalf("reclaim gates tripped below the growth-gate depth: %v", benchGateErrs)
 	}
-	raw, err := os.ReadFile(rcOut)
+	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_reclaim.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +302,31 @@ func TestReclaimExperiment(t *testing.T) {
 
 // TestUsage pins the ordered -h listing: known flags come out in
 // flagOrder and unknown ones are appended rather than dropped, and every
-// experiment the header advertises is one -exp runs.
+// experiment the header advertises is one -exp runs. It also pins the
+// flag set: flagOrder names every registered flag, and the flags folded
+// into -out or into constants stay gone.
 func TestUsage(t *testing.T) {
+	registered := 0 // benchtool's own flags; the test binary adds -test.*
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			registered++
+		}
+	})
+	if registered != len(flagOrder) {
+		t.Errorf("%d flags registered, flagOrder lists %d", registered, len(flagOrder))
+	}
+	for _, name := range flagOrder {
+		if flag.Lookup(name) == nil {
+			t.Errorf("flagOrder lists -%s, which is not registered", name)
+		}
+	}
+	for _, name := range []string{"benchmem", "allocmax", "scaleout", "replayout",
+		"serveout", "wlout", "rcout", "replaymin", "rcgrowth", "rcmaxratio"} {
+		if flag.Lookup(name) != nil {
+			t.Errorf("-%s is registered; it was removed", name)
+		}
+	}
+
 	var buf bytes.Buffer
 	out := flag.CommandLine.Output()
 	flag.CommandLine.SetOutput(&buf)

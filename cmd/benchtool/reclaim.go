@@ -13,10 +13,10 @@ package main
 //     byte-identical to the swept run's — sweeping removes exactly the
 //     invisible-past-grace versions and nothing else (version numbers
 //     are never reused, so the visible lines cannot shift);
-//   - bounded: the live/written ratio's peak over the soak's second
-//     half must not exceed its first-half peak (-rcgrowth), and
-//     optionally the final ratio stays under a ceiling (-rcmaxratio;
-//     CI ratchets the recorded value through scripts/reclaimgate.sh);
+//   - bounded: at -rcdepth >= 128 the live/written ratio's peak over
+//     the soak's second half must not exceed rcGrowth times its
+//     first-half peak (CI ratchets the worst final ratio against
+//     scripts/floors.txt through scripts/ratchet.sh reclaim);
 //   - recovery: a WAL-armed swept run, killed and replayed through
 //     core.Recover, converges to the pre-crash fingerprint — reclaim
 //     records replay idempotently (the kill-at-every-byte matrix covers
@@ -32,13 +32,19 @@ import (
 )
 
 var (
-	rcDepth    int
-	rcWorkers  int
-	rcSweep    int
-	rcBudget   int
-	rcGrowth   float64
-	rcMaxRatio float64
-	rcOut      string
+	rcDepth   int
+	rcWorkers int
+	rcSweep   int
+	rcBudget  int
+)
+
+// rcGrowth bounds the second-half peak live/written ratio against the
+// first-half peak. The gate runs at rcGrowthDepth and deeper, where
+// both soak halves contain kept-chain rounds; shallower soaks have
+// nothing to compare.
+const (
+	rcGrowth      = 1.05
+	rcGrowthDepth = 128
 )
 
 // reclaimRow is one mode cell of BENCH_reclaim.json.
@@ -113,8 +119,8 @@ func runReclaimCell(sweep, durable bool) (reclaimRow, oracle.Fingerprint) {
 }
 
 // expReclaim is E17. Fingerprint and recovery divergence are hard
-// failures; the ratio gates are soft (-rcgrowth, -rcmaxratio) so CI's
-// summary and table still flush.
+// failures; the growth gate is soft (rcGrowth) so CI's summary and
+// table still flush.
 func expReclaim() {
 	fmt.Println("## E17: bounded-memory soak — incremental reclamation under deep rework")
 	fmt.Printf("(seed %d, %d sessions, depth %d, fanout %d, sweep every %d round(s), budget %d)\n",
@@ -142,10 +148,9 @@ func expReclaim() {
 	// Bounded-memory gates on the swept reference. The ratio oscillates
 	// by design — every fourth OLAP chain is kept, so it steps up when
 	// one lands — so "non-growing" compares the peak over the soak's
-	// second half against the peak over its first half (both halves
-	// must contain kept rounds: depth >= 128).
+	// second half against the peak over its first half.
 	n := len(swept.Checkpoints)
-	if rcGrowth > 0 && n >= 2 {
+	if rcDepth >= rcGrowthDepth && n >= 2 {
 		peak := func(cs []float64) float64 {
 			m := cs[0]
 			for _, c := range cs[1:] {
@@ -161,10 +166,6 @@ func expReclaim() {
 				first, second, rcGrowth)
 		}
 	}
-	if rcMaxRatio > 0 && swept.Ratio > rcMaxRatio {
-		gateFail("reclaim gate: final live/written ratio %.4f exceeds ceiling %.4f",
-			swept.Ratio, rcMaxRatio)
-	}
 
 	rows := []reclaimRow{swept, unswept, durable}
 	for _, r := range rows {
@@ -177,8 +178,8 @@ func expReclaim() {
 			r.ReclaimedVersions, gate)
 	}
 
-	writeRows(rcOut, rows)
-	// A stable line for scripts/reclaimgate.sh to ratchet on: the worst
+	writeRows("reclaim", rows)
+	// A stable line for scripts/ratchet.sh to ratchet on: the worst
 	// final ratio across every sweep-enabled cell.
 	maxRatio := 0.0
 	for _, r := range rows {

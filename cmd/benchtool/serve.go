@@ -37,7 +37,6 @@ var (
 	serveQueue    int
 	serveMin      float64
 	serveP99      float64
-	serveOut      string
 )
 
 // serveRow is the E13 result table (one row per run, plus the JSON file
@@ -244,7 +243,7 @@ func expServe() {
 			strings.TrimSuffix(strings.TrimPrefix(h, "e13."), ".us"), q(h, 0.50), q(h, 0.99), hs.Count)
 	}
 
-	writeRows(serveOut, []serveRow{row})
+	writeRows("serve", []serveRow{row})
 
 	wantSteps := int64(serveSessions) * 4
 	if steps != wantSteps {

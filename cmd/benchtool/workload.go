@@ -28,7 +28,6 @@ var (
 	wlDepth    int
 	wlWorkers  string
 	wlMin      float64
-	wlOut      string
 )
 
 // workloadRow is one (profile, path, workers) cell of BENCH_workload.json.
@@ -146,7 +145,7 @@ func expWorkload() {
 		}
 	}
 
-	writeRows(wlOut, rows)
+	writeRows("workload", rows)
 
 	var md strings.Builder
 	md.WriteString("### E15 workload: generated scenario profiles\n\n")
