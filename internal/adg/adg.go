@@ -47,15 +47,17 @@ func New() *Graph {
 }
 
 // AddStep records a completed design step. Steps that produced nothing
-// (pure checks) still appear as consumer edges.
+// (pure checks) still appear as consumer edges. The op shares the
+// record's Options, Inputs and Outputs slices, which StepRecord promises
+// are never mutated; callers must not mutate an Op's slices either.
 func (g *Graph) AddStep(rec history.StepRecord) *Op {
 	op := &Op{
 		ID:      len(g.ops) + 1,
 		Tool:    rec.Tool,
 		Step:    rec.Name,
-		Options: append([]string(nil), rec.Options...),
-		Inputs:  append([]oct.Ref(nil), rec.Inputs...),
-		Outputs: append([]oct.Ref(nil), rec.Outputs...),
+		Options: rec.Options,
+		Inputs:  rec.Inputs,
+		Outputs: rec.Outputs,
 		At:      rec.CompletedAt,
 	}
 	g.ops = append(g.ops, op)

@@ -1,6 +1,7 @@
 package adg
 
 import (
+	"reflect"
 	"testing"
 
 	"papyrus/internal/history"
@@ -140,5 +141,70 @@ func TestVersionsAreDistinctNodes(t *testing.T) {
 	affected := g.Affected(ref("c", 1))
 	if len(affected) != 2 {
 		t.Errorf("affected %v", affected)
+	}
+}
+
+// TestFromStreamMatchesIncremental: rebuilding the graph from a stream
+// gives the same ops, producers and consumers as feeding the same steps
+// to AddStep one at a time (the inference layer's OnStep path). The ops
+// share the records' slices rather than copying them.
+func TestFromStreamMatchesIncremental(t *testing.T) {
+	withOpts := func(s history.StepRecord, opts ...string) history.StepRecord {
+		s.Options = opts
+		return s
+	}
+	records := []*history.Record{
+		{TaskName: "synth", Steps: []history.StepRecord{
+			withOpts(step("bdsyn", []oct.Ref{ref("spec", 1)}, []oct.Ref{ref("logic", 1)}), "-o", "logic"),
+			withOpts(step("misII", []oct.Ref{ref("logic", 1)}, []oct.Ref{ref("opt", 1), ref("rpt", 1)}), "-f", "script.rugged"),
+		}},
+		{TaskName: "check", Steps: []history.StepRecord{
+			step("equiv", []oct.Ref{ref("logic", 1), ref("opt", 1)}, nil),
+		}},
+		{TaskName: "edit", Steps: []history.StepRecord{
+			withOpts(step("espresso", []oct.Ref{ref("opt", 1)}, []oct.Ref{ref("opt", 2)}), "-Dexact"),
+			step("wolfe", []oct.Ref{ref("opt", 2)}, []oct.Ref{ref("layout", 1)}),
+		}},
+	}
+	s := history.NewStream()
+	incr := New()
+	var parent *history.Record
+	at := int64(0)
+	for _, rec := range records {
+		for i := range rec.Steps {
+			at += 10
+			rec.Steps[i].CompletedAt = at
+			incr.AddStep(rec.Steps[i])
+		}
+		parent = s.Append(rec, parent)
+	}
+	rebuilt := FromStream(s)
+	if !reflect.DeepEqual(rebuilt.Ops(), incr.Ops()) {
+		t.Fatalf("FromStream ops differ from incremental AddStep:\n%+v\nvs\n%+v", rebuilt.Ops(), incr.Ops())
+	}
+	if len(incr.Ops()) != 5 {
+		t.Fatalf("%d ops, want 5", len(incr.Ops()))
+	}
+	for _, obj := range incr.Objects() {
+		a, aok := incr.Producer(obj)
+		b, bok := rebuilt.Producer(obj)
+		if aok != bok || (aok && a.ID != b.ID) {
+			t.Errorf("producer of %s: incremental %v, rebuilt %v", obj, a, b)
+		}
+		var ca, cb []int
+		for _, op := range incr.Consumers(obj) {
+			ca = append(ca, op.ID)
+		}
+		for _, op := range rebuilt.Consumers(obj) {
+			cb = append(cb, op.ID)
+		}
+		if !reflect.DeepEqual(ca, cb) {
+			t.Errorf("consumers of %s: incremental %v, rebuilt %v", obj, ca, cb)
+		}
+	}
+	op := rebuilt.Ops()[1]
+	st := records[0].Steps[1]
+	if &op.Options[0] != &st.Options[0] || &op.Inputs[0] != &st.Inputs[0] || &op.Outputs[0] != &st.Outputs[0] {
+		t.Error("op copied the step record's slices instead of sharing them")
 	}
 }

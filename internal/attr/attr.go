@@ -2,12 +2,13 @@
 // each thread workspace (dissertation §4.3.6). Objects and attributes are
 // stored separately; attribute values are either set directly or computed
 // on demand by measurement tools and cached. The dissertation used the
-// UNIX db library; this is the Go equivalent: a concurrent string-keyed
-// store with a compute hook.
+// UNIX db library; this is the Go equivalent: a concurrent store keyed
+// by object version, with a compute hook.
 package attr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -33,40 +34,68 @@ type Entry struct {
 // concurrent use: attribute computations run as child processes of the
 // task manager (§4.3.6).
 type DB struct {
-	mu      sync.RWMutex
-	entries map[string]map[string]Entry // object key -> attr -> entry
+	mu sync.RWMutex
+	// entries maps each object version to its attributes in insertion
+	// order. A version holds a handful of attributes, so a slice scanned
+	// linearly costs far less memory than a map per version. A present
+	// key with no attributes is kept: Inherit leaves one behind and Len
+	// counts it.
+	entries map[oct.Ref][]named
 	compute Computer
+}
+
+// named is one attribute of a version.
+type named struct {
+	attr string
+	Entry
 }
 
 // New returns an empty database with the given measurement hook (may be
 // nil, in which case only stored values are served).
 func New(compute Computer) *DB {
-	return &DB{entries: make(map[string]map[string]Entry), compute: compute}
+	return &DB{entries: make(map[oct.Ref][]named), compute: compute}
 }
 
-func key(ref oct.Ref) string { return ref.String() }
+// find returns the index of attr in attrs, or -1.
+func find(attrs []named, attr string) int {
+	for i := range attrs {
+		if attrs[i].attr == attr {
+			return i
+		}
+	}
+	return -1
+}
+
+// put stores e as ref's attr, overwriting any previous value. The caller
+// holds the write lock.
+func (db *DB) put(ref oct.Ref, attr string, e Entry) {
+	attrs := db.entries[ref]
+	if i := find(attrs, attr); i >= 0 {
+		attrs[i].Entry = e
+		return
+	}
+	db.entries[ref] = append(attrs, named{attr: attr, Entry: e})
+}
 
 // Set stores an attribute value directly.
 func (db *DB) Set(ref oct.Ref, attr, value, source string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	m := db.entries[key(ref)]
-	if m == nil {
-		m = make(map[string]Entry)
-		db.entries[key(ref)] = m
-	}
 	if source == "" {
 		source = "set"
 	}
-	m[attr] = Entry{Value: value, Source: source}
+	db.put(ref, attr, Entry{Value: value, Source: source})
 }
 
 // Peek returns a stored value without computing.
 func (db *DB) Peek(ref oct.Ref, attr string) (Entry, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	e, ok := db.entries[key(ref)][attr]
-	return e, ok
+	attrs := db.entries[ref]
+	if i := find(attrs, attr); i >= 0 {
+		return attrs[i].Entry, true
+	}
+	return Entry{}, false
 }
 
 // Get returns the attribute value, computing and caching it through the
@@ -88,12 +117,7 @@ func (db *DB) Get(ref oct.Ref, attr string, obj *oct.Object) (string, error) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	m := db.entries[key(ref)]
-	if m == nil {
-		m = make(map[string]Entry)
-		db.entries[key(ref)] = m
-	}
-	m[attr] = Entry{Value: v, Computed: true, Source: "measured"}
+	db.put(ref, attr, Entry{Value: v, Computed: true, Source: "measured"})
 	return v, nil
 }
 
@@ -104,24 +128,19 @@ func (db *DB) Get(ref oct.Ref, attr string, obj *oct.Object) (string, error) {
 func (db *DB) Inherit(from, to oct.Ref, attrs []string) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	src := db.entries[key(from)]
-	if src == nil {
+	src, ok := db.entries[from]
+	if !ok {
 		return 0
 	}
-	dst := db.entries[key(to)]
-	if dst == nil {
-		dst = make(map[string]Entry)
-		db.entries[key(to)] = dst
-	}
+	dst := db.entries[to]
 	n := 0
 	for _, a := range attrs {
-		if e, ok := src[a]; ok {
-			if _, exists := dst[a]; !exists {
-				dst[a] = Entry{Value: e.Value, Source: "inherited"}
-				n++
-			}
+		if i := find(src, a); i >= 0 && find(dst, a) < 0 {
+			dst = append(dst, named{attr: a, Entry: Entry{Value: src[i].Value, Source: "inherited"}})
+			n++
 		}
 	}
+	db.entries[to] = dst
 	return n
 }
 
@@ -130,27 +149,32 @@ func (db *DB) Inherit(from, to oct.Ref, attrs []string) int {
 func (db *DB) Invalidate(ref oct.Ref, attrs ...string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	m := db.entries[key(ref)]
-	if m == nil {
+	cur, ok := db.entries[ref]
+	if !ok {
 		return
 	}
 	if len(attrs) == 0 {
-		delete(db.entries, key(ref))
+		delete(db.entries, ref)
 		return
 	}
-	for _, a := range attrs {
-		delete(m, a)
+	kept := cur[:0]
+	for _, e := range cur {
+		if !slices.Contains(attrs, e.attr) {
+			kept = append(kept, e)
+		}
 	}
+	clear(cur[len(kept):])
+	db.entries[ref] = kept
 }
 
 // Attrs lists the stored attribute names of an object, sorted.
 func (db *DB) Attrs(ref oct.Ref) []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	m := db.entries[key(ref)]
-	out := make([]string, 0, len(m))
-	for a := range m {
-		out = append(out, a)
+	attrs := db.entries[ref]
+	out := make([]string, 0, len(attrs))
+	for _, e := range attrs {
+		out = append(out, e.attr)
 	}
 	sort.Strings(out)
 	return out

@@ -25,7 +25,11 @@ import (
 	"papyrus/internal/oct"
 )
 
-// StepRecord is the history of one executed design step (§4.3.5).
+// StepRecord is the history of one executed design step (§4.3.5). Its
+// Options, Inputs and Outputs slices are immutable once the task manager
+// hands the record to its OnStep observer: the record, the ADG op built
+// from it and the task manager's own step state share them, so none of
+// those holders may write to the slices or append to them afterwards.
 type StepRecord struct {
 	StepID      string    `json:"step_id"` // template step ID (subtask-prefixed)
 	Name        string    `json:"name"`

@@ -8,8 +8,9 @@ import (
 
 // BenchmarkTxnCommitDisjoint is the striped-apply hot path: every
 // transaction writes a distinct name, so parallel commits contend only
-// on stripe-hash collisions. Allocations per commit are what the
-// perf-gate allocs/step ceiling watches (docs/PERFORMANCE.md).
+// on stripe-hash collisions. Allocations per commit feed the perfbench
+// allocs/step ceilings that `scripts/ratchet.sh counts` holds
+// (scripts/floors.txt, docs/PERFORMANCE.md).
 func BenchmarkTxnCommitDisjoint(b *testing.B) {
 	s := NewStore()
 	var n atomic.Int64

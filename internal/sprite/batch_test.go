@@ -109,8 +109,9 @@ func TestRequeuePrepends(t *testing.T) {
 	}
 }
 
-// TestProcessLookupAndStates covers the PCB-style accessors the task
-// manager's batch apply uses for history records.
+// TestProcessLookupAndStates covers the PCB-style accessors: Process
+// finds an unfinished pid, and the pointer Spawn returned keeps the
+// final state once the process has left the table.
 func TestProcessLookupAndStates(t *testing.T) {
 	c := mustCluster(t, Config{Nodes: 1})
 	p := c.Spawn(Spec{Name: "a", Work: 100, Home: 0})
@@ -126,6 +127,9 @@ func TestProcessLookupAndStates(t *testing.T) {
 	}
 	if _, ok := c.AwaitBatch(); !ok {
 		t.Fatal("no completion")
+	}
+	if _, ok := c.Process(p.PID); ok {
+		t.Error("lookup of a finished pid succeeded")
 	}
 	if s := p.State().String(); s != "done" {
 		t.Errorf("state %q, want done", s)

@@ -13,7 +13,9 @@
 //     sharing (a node running k processes advances each at speed/k);
 //   - migration with a configurable transfer delay, eviction of foreign
 //     processes when an owner returns, and a process table that the task
-//     manager polls to re-migrate stranded migratable processes;
+//     manager polls to re-migrate stranded migratable processes. A
+//     process leaves the table when it finishes; its Completion carries
+//     what the task manager's history record needs of it;
 //   - a global event queue: completions, owner arrivals/departures and
 //     periodic callbacks all execute in virtual-time order, so experiment
 //     results (Fig 4.2/4.3 speedup curves, the re-migration bench) are
@@ -131,7 +133,9 @@ func (p *Process) Evictions() int { return p.evictions }
 // FinishedAt returns the virtual completion time (valid once done).
 func (p *Process) FinishedAt() int64 { return p.finishedAt }
 
-// Completion reports a finished process to the cluster's waiters.
+// Completion reports a finished process to the cluster's waiters. The
+// process has already left the table, so Node and Migrations are its
+// final values.
 type Completion struct {
 	PID    PID
 	Name   string
@@ -141,6 +145,10 @@ type Completion struct {
 	// the task manager can retry the former without retrying the latter.
 	Crashed bool
 	Tag     any
+	// Node is the node the process finished on (for a kill in transit,
+	// the node it was moving toward); Migrations counts its moves.
+	Node       NodeID
+	Migrations int
 }
 
 // Config parameterizes a Cluster.
@@ -170,7 +178,7 @@ type Config struct {
 type Cluster struct {
 	cfg     Config
 	nodes   []*Node
-	procs   map[PID]*Process
+	procs   map[PID]*Process // unfinished processes only
 	nextPID PID
 	now     int64
 	events  eventQueue
@@ -417,40 +425,48 @@ func (c *Cluster) Spawn(spec Spec) *Process {
 	return p
 }
 
+// finish moves a process to its final state, drops it from the table and
+// queues its Completion. Pending events for it go stale: the event loop
+// skips pids it no longer finds.
+func (c *Cluster) finish(p *Process, state ProcState, crashed bool) {
+	p.state = state
+	p.finishedAt = c.now
+	delete(c.procs, p.PID)
+	c.completions = append(c.completions, Completion{
+		PID: p.PID, Name: p.Name, At: c.now,
+		Killed: state == StateKilled, Crashed: crashed, Tag: p.Tag,
+		Node: p.node, Migrations: p.migrations,
+	})
+}
+
 // killCrashed terminates a process lost to a node crash and reports a
 // Crashed completion so waiters can distinguish it from a deliberate Kill.
 func (c *Cluster) killCrashed(p *Process, node NodeID) {
-	p.state = StateKilled
-	p.gen++
 	p.node = node
-	p.finishedAt = c.now
 	c.cfg.Metrics.Inc("sprite.proc.crashkill")
-	c.completions = append(c.completions, Completion{PID: p.PID, Name: p.Name, At: c.now, Killed: true, Crashed: true, Tag: p.Tag})
+	c.finish(p, StateKilled, true)
 }
 
-// Kill terminates a running or migrating process.
+// Kill terminates an unfinished (running or migrating) process. A pid
+// that has finished, however it finished, is no longer known and errors.
 func (c *Cluster) Kill(pid PID) error {
 	p, ok := c.procs[pid]
 	if !ok {
 		return fmt.Errorf("sprite: no process %d", pid)
 	}
-	switch p.state {
-	case StateDone, StateKilled:
-		return nil
-	case StateRunning:
+	if p.state == StateRunning {
 		c.removeFrom(p, p.node)
-	case StateMigrating:
+	} else {
 		c.nodes[p.node].incoming--
 	}
-	p.state = StateKilled
-	p.gen++ // invalidate pending events
-	p.finishedAt = c.now
 	c.cfg.Metrics.Inc("sprite.proc.kill")
-	c.completions = append(c.completions, Completion{PID: p.PID, Name: p.Name, At: c.now, Killed: true, Tag: p.Tag})
+	c.finish(p, StateKilled, false)
 	return nil
 }
 
-// Process returns the process with the given pid, if any.
+// Process returns the unfinished process with the given pid. A finished
+// process has left the table; its Completion holds its final node and
+// migration count.
 func (c *Cluster) Process(pid PID) (*Process, bool) {
 	p, ok := c.procs[pid]
 	return p, ok
@@ -473,9 +489,6 @@ type PCBInfo struct {
 func (c *Cluster) ProcessTable() []PCBInfo {
 	var rows []PCBInfo
 	for _, p := range c.procs {
-		if p.state != StateRunning && p.state != StateMigrating {
-			continue
-		}
 		rows = append(rows, PCBInfo{
 			PID: p.PID, Parent: p.Parent, Name: p.Name, Node: p.node,
 			Home: p.Home, Migratable: p.Migratable, State: p.state,
@@ -604,11 +617,9 @@ func (c *Cluster) step() bool {
 			}
 			c.advanceTo(e.at)
 			c.removeFrom(p, p.node)
-			p.state = StateDone
-			p.finishedAt = c.now
 			c.cfg.Metrics.Inc("sprite.proc.complete")
-			c.cfg.Metrics.Observe("sprite.proc.ticks", p.finishedAt-p.startedAt)
-			c.completions = append(c.completions, Completion{PID: p.PID, Name: p.Name, At: c.now, Tag: p.Tag})
+			c.cfg.Metrics.Observe("sprite.proc.ticks", c.now-p.startedAt)
+			c.finish(p, StateDone, false)
 			return true
 		case evOwnerChange:
 			c.advanceTo(e.at)

@@ -77,7 +77,8 @@ type Config struct {
 	// interval (§4.3.3); 0 disables it.
 	ReMigrateEvery int64
 	// OnStep observes every completed step (the inference layer and the
-	// activity manager subscribe). Called in completion order.
+	// activity manager subscribe). Called in completion order. The
+	// record's slices are shared and read-only (history.StepRecord).
 	OnStep func(history.StepRecord)
 	// Workers caps the run-scoped pool that executes a completion
 	// batch's tool bodies and stripe-disjoint commit waves concurrently

@@ -563,7 +563,6 @@ func (r *run) apply(ex *stepExec) error {
 		}
 	}
 
-	proc, _ := r.m.cfg.Cluster.Process(c.PID)
 	stepRec := history.StepRecord{
 		StepID:      p.stepID,
 		Name:        p.spec.Name,
@@ -571,6 +570,8 @@ func (r *run) apply(ex *stepExec) error {
 		Options:     p.options,
 		StartedAt:   p.startedAt,
 		CompletedAt: c.At,
+		Node:        int(c.Node),
+		Migrations:  c.Migrations,
 		ExitStatus:  exit,
 		Log:         logText,
 	}
@@ -578,10 +579,6 @@ func (r *run) apply(ex *stepExec) error {
 		stepRec.Inputs = append(stepRec.Inputs, r.ready[phys])
 	}
 	stepRec.Outputs = createdRefs
-	if proc != nil {
-		stepRec.Node = int(proc.Node())
-		stepRec.Migrations = proc.Migrations()
-	}
 	r.done = append(r.done, doneStep{rec: stepRec, internalID: p.internalID})
 	if exit == 0 {
 		r.m.cfg.Metrics.Inc("task.step.complete")

@@ -11,10 +11,12 @@
 #             nightly runs 256). The table lands in BENCH_reclaim.json;
 #   counts    perfbench's host-independent per-step counts,
 #             counts.<workload>.<metric>, from the last JSON line of one
-#             5-second traced pass per workload at seed 1. The script
-#             names the workloads and metrics it measures (below);
-#             floors.txt must bound every pair, so a deleted line fails
-#             instead of dropping its gate.
+#             5-second traced pass per workload at seed 1, and the
+#             retained heap per step (heap_kib_per_step) from one
+#             5-second untraced pass, since tracing holds its own spans
+#             in the heap. The script names the workloads and metrics it
+#             measures (below); floors.txt must bound every pair, so a
+#             deleted line fails instead of dropping its gate.
 #
 # Usage: scripts/ratchet.sh coverage|reclaim|counts [-record]
 #
@@ -37,6 +39,7 @@ cd "$(dirname "$0")/.."
 floors=scripts/floors.txt
 count_workloads="edit redo durable serve"
 count_metrics="runtime.allocs_per_step oct.versions_per_step wal.records_per_step wal.fsyncs_per_step activity.records_per_task"
+heap_metrics="heap_kib_per_step"
 group=${1:-}
 record=${2:-}
 case "$group:$record" in
@@ -79,13 +82,13 @@ reclaim)
 		"$tmp/reclaim.log" >"$measured"
 	;;
 counts)
-	: >"$measured"
-	for w in $count_workloads; do
-		run "$tmp/$w.log" bash perfbench/run.sh --workload "$w" --seed 1 --seconds 5 --trace 1
-		# The result is the last line starting with "{"; every metric is
-		# "<name>":{"value":<number>,...}. A metric it lacks is printed
-		# without a value, which fails below as a missing measurement.
-		awk -v w="$w" -v metrics="$count_metrics" '
+	# pick W METRICS LOG: prints "counts.W.<metric> <value>" for each
+	# metric from perfbench's result, the last line of LOG starting with
+	# "{"; every metric is "<name>":{"value":<number>,...}. A metric it
+	# lacks is printed without a value, which fails below as a missing
+	# measurement.
+	pick() {
+		awk -v w="$1" -v metrics="$2" '
 			/^\{/ { last = $0 }
 			END {
 				n = split(metrics, m, " ")
@@ -99,7 +102,14 @@ counts)
 					}
 					print "counts." w "." m[i], v
 				}
-			}' "$tmp/$w.log" >>"$measured"
+			}' "$3"
+	}
+	: >"$measured"
+	for w in $count_workloads; do
+		run "$tmp/$w.log" bash perfbench/run.sh --workload "$w" --seed 1 --seconds 5 --trace 1
+		run "$tmp/$w.heap.log" bash perfbench/run.sh --workload "$w" --seed 1 --seconds 5 --trace 0
+		pick "$w" "$count_metrics" "$tmp/$w.log" >>"$measured"
+		pick "$w" "$heap_metrics" "$tmp/$w.heap.log" >>"$measured"
 	done
 	;;
 esac
