@@ -53,8 +53,8 @@ const helpText = `commands:
   stats                               session counters and histograms (obs registry)
   memo                                step-result cache statistics (docs/CACHING.md)
   trace <file>                        dump the session trace as Chrome trace_event JSON
-  save <dir> | load <dir>             persist / restore the whole session
-  recover [dir]                       rebuild from the write-ahead log (+ optional snapshot dir)
+  save <dir> | load <dir>             persist / restore the whole session (load = recover <dir>)
+  recover [dir]                       rebuild from the snapshot dir and/or the write-ahead log
   quit`
 
 type shell struct {
@@ -116,8 +116,8 @@ func shellConfig() core.Config {
 	if *walDir != "" {
 		cfg.Durability = &core.DurabilityConfig{Dir: *walDir, FsyncEvery: *fsyncEvery}
 	}
-	// A fresh cache per config keeps `recover` honest: the recovered
-	// session's cache is rebuilt from history by WarmMemo, never inherited.
+	// A fresh cache per config keeps `load` and `recover` honest: the
+	// recovered session's cache is rebuilt from history, never inherited.
 	if *useMemo {
 		cfg.Memo = memo.NewCache()
 	}
@@ -320,29 +320,16 @@ func (sh *shell) dispatch(args []string) error {
 			return err
 		}
 		fmt.Fprintf(sh.out, "session saved to %s\n", args[1])
-	case "load":
-		if len(args) != 2 {
-			return fmt.Errorf("usage: load <dir>")
-		}
-		// Release the current session's log before the loaded session
-		// reopens the same directory.
-		if err := sh.sys.Close(); err != nil {
-			return err
-		}
-		sys, err := core.LoadSession(shellConfig(), args[1])
-		if err != nil {
-			return err
-		}
-		sh.adopt(sys)
-		fmt.Fprintf(sh.out, "session loaded (%d threads)\n", len(sys.Activity.Threads()))
-	case "recover":
-		if len(args) > 2 {
-			return fmt.Errorf("usage: recover [snapshot-dir]")
+	case "load", "recover": // recover may omit the snapshot dir
+		if len(args) > 2 || (args[0] == "load" && len(args) != 2) {
+			return fmt.Errorf("usage: load <dir> | recover [snapshot-dir]")
 		}
 		snapDir := ""
 		if len(args) == 2 {
 			snapDir = args[1]
 		}
+		// Release the current session's log before the recovered session
+		// reopens the same directory.
 		if err := sh.sys.Close(); err != nil {
 			return err
 		}
@@ -350,22 +337,16 @@ func (sh *shell) dispatch(args []string) error {
 		if err != nil {
 			return err
 		}
-		sh.adopt(sys)
-		fmt.Fprintf(sh.out, "recovered %d records from %d segments (%d torn bytes discarded), %d threads\n",
-			stats.Records, stats.Segments, stats.Truncated, len(sys.Activity.Threads()))
+		sh.sys, sh.current = sys, nil
+		if ts := sys.Activity.Threads(); len(ts) > 0 {
+			sh.current = ts[0]
+		}
+		fmt.Fprintf(sh.out, "session loaded (%d threads): %d log records from %d segments (%d torn bytes discarded)\n",
+			len(sys.Activity.Threads()), stats.Records, stats.Segments, stats.Truncated)
 	default:
 		return fmt.Errorf("unknown command %q (try help)", args[0])
 	}
 	return nil
-}
-
-// adopt replaces the shell's session with a loaded or recovered one.
-func (sh *shell) adopt(sys *core.System) {
-	sh.sys = sys
-	sh.current = nil
-	if ts := sys.Activity.Threads(); len(ts) > 0 {
-		sh.current = ts[0]
-	}
 }
 
 func (sh *shell) needThread() error {

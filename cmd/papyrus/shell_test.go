@@ -311,6 +311,39 @@ func TestShellRecover(t *testing.T) {
 	}
 }
 
+// TestShellLoadKeepsLoggedWork: with a log armed, `load` recovers the
+// snapshot plus the work logged after it — the object created after the
+// save stays in scope.
+func TestShellLoadKeepsLoggedWork(t *testing.T) {
+	oldDir, oldEvery := *walDir, *fsyncEvery
+	*walDir, *fsyncEvery = t.TempDir(), 1
+	defer func() { *walDir, *fsyncEvery = oldDir, oldEvery }()
+
+	sys, err := core.New(shellConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	sh := &shell{sys: sys, out: bufio.NewWriter(&buf)}
+	snap := t.TempDir()
+	run(t, sh, &buf, "import /s shifter 3")
+	run(t, sh, &buf, "thread demo")
+	run(t, sh, &buf, "invoke create-logic-description Spec=/s Outlogic=l")
+	run(t, sh, &buf, "save "+snap)
+	run(t, sh, &buf, "invoke PLA-generation Inlogic=l Outcell=l.pla")
+	out := run(t, sh, &buf, "load "+snap)
+	if !strings.Contains(out, "session loaded (1 threads)") {
+		t.Errorf("load: %q", out)
+	}
+	out = run(t, sh, &buf, "scope")
+	if !strings.Contains(out, "l.pla : version 1") {
+		t.Errorf("work logged after the save lost by load: %q", out)
+	}
+	if err := sh.sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestUsageFlagOrder pins the -h contract of the satellite fix: every
 // registered flag appears in the usage output, in flagOrder (wal-dir
 // before the -fsync-every that modifies it), not alphabetically.

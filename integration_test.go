@@ -173,7 +173,7 @@ func TestDissertationWalkthrough(t *testing.T) {
 	// --- Act 7: persistence across sessions ---------------------------
 	dir := t.TempDir()
 	must(sys.SaveSession(dir))
-	restored, err := core.LoadSession(core.Config{Nodes: 4}, dir)
+	restored, _, err := core.Recover(core.Config{Nodes: 4}, dir)
 	must(err)
 	aluRestored := findThread(t, restored, "ALU")
 	if _, err := aluRestored.ResolveInput("alu.padded"); err != nil {

@@ -148,67 +148,17 @@ func (m *Manager) DropThread(t *Thread) {
 	_ = m.ack(m.logThread("drop", t, false))
 }
 
-// RestoreThread reinstates a persisted thread: its control stream, cursor
-// (by record ID; 0 means the initial point) and identity. Used by session
-// persistence; the restored thread gets a fresh manager-local ID.
-func (m *Manager) RestoreThread(name, owner string, stream *history.Stream, cursorID int) (*Thread, error) {
-	t, err := m.restoreThread(name, owner, stream, cursorID)
-	return t, m.ack(err)
-}
-
-func (m *Manager) restoreThread(name, owner string, stream *history.Stream, cursorID int) (*Thread, error) {
-	t := m.newThread(name, owner)
-	t.stream = stream
-	if cursorID != 0 {
-		rec, ok := stream.ByID(cursorID)
-		if !ok {
-			return nil, fmt.Errorf("activity: restored cursor %d not in stream", cursorID)
-		}
-		t.cursor = rec
-	}
-	for _, r := range stream.Records() {
-		t.indexRecord(r)
-	}
-	if err := m.logThread("restore", t, true); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// ReinstateThread is RestoreThread under a stable thread ID, used by
-// crash recovery (core.Recover): write-ahead log records reference the
-// original IDs, so a thread restored from a snapshot must keep the ID it
-// was saved with for the log tail to replay against it. id <= 0 falls
-// back to a fresh manager-local ID (pre-ID session files).
+// ReinstateThread reinstates a persisted thread under the ID it was saved
+// with, as a logged full-stream thread op replays, so the log tail's
+// records reference it. core.Recover calls it with the log detached: it
+// logs nothing.
 func (m *Manager) ReinstateThread(id int, name, owner string, stream *history.Stream, cursorID int) (*Thread, error) {
-	t, err := m.reinstateThread(id, name, owner, stream, cursorID)
-	return t, m.ack(err)
-}
-
-func (m *Manager) reinstateThread(id int, name, owner string, stream *history.Stream, cursorID int) (*Thread, error) {
-	if id <= 0 {
-		return m.restoreThread(name, owner, stream, cursorID)
-	}
-	t := m.replayThread(id, name, owner)
-	t.name, t.owner = name, owner
-	t.stream = stream
-	t.cursor = nil
-	t.timeIndex = nil
-	if cursorID != 0 {
-		rec, ok := stream.ByID(cursorID)
-		if !ok {
-			return nil, fmt.Errorf("activity: restored cursor %d not in stream", cursorID)
-		}
-		t.cursor = rec
-	}
-	for _, r := range stream.Records() {
-		t.indexRecord(r)
+	t, err := m.installThread(id, name, owner, stream, cursorID)
+	if err != nil {
+		return nil, err
 	}
 	t.touch()
 	m.metrics.Inc("activity.thread.create")
-	if err := m.logThread("restore", t, true); err != nil {
-		return nil, err
-	}
 	return t, nil
 }
 

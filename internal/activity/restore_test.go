@@ -1,7 +1,7 @@
 package activity
 
 // Coverage for the session-persistence and recovery entry points
-// (RestoreThread / ReinstateThread / ReplayRecord), the observability
+// (ReinstateThread / ReplayRecord), the observability
 // plumbing, and the small accessors the multi-session runner uses.
 
 import (
@@ -59,49 +59,21 @@ func TestRestoreAndReinstateThread(t *testing.T) {
 	cursorID := th.Cursor().ID
 	want := len(th.Stream().Records())
 
-	st, err := copyStream(th.Stream())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := e.mgr.RestoreThread("restored", "chiueh", st, cursorID)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if r.Cursor() == nil || r.Cursor().ID != cursorID {
-		t.Fatalf("restored cursor = %+v, want record %d", r.Cursor(), cursorID)
-	}
-	if got := len(r.Stream().Records()); got != want {
-		t.Fatalf("restored stream has %d records, want %d", got, want)
-	}
-
-	st2, _ := copyStream(th.Stream())
-	if _, err := e.mgr.RestoreThread("bad", "chiueh", st2, 99999); err == nil {
-		t.Fatal("restore with a bogus cursor succeeded")
-	}
-
 	// Reinstate keeps the saved thread ID stable for WAL-tail replay.
-	st3, _ := copyStream(th.Stream())
-	ri, err := e.mgr.ReinstateThread(500, "reinstated", "chiueh", st3, cursorID)
+	st, _ := copyStream(th.Stream())
+	ri, err := e.mgr.ReinstateThread(500, "reinstated", "chiueh", st, cursorID)
 	if err != nil {
 		t.Fatalf("reinstate: %v", err)
 	}
 	if ri.ID() != 500 || ri.Cursor() == nil || ri.Cursor().ID != cursorID {
 		t.Fatalf("reinstated thread = id %d cursor %+v, want 500/%d", ri.ID(), ri.Cursor(), cursorID)
 	}
-
-	// id <= 0 falls back to a fresh manager-local ID, cursor 0 to the
-	// initial point.
-	st4, _ := copyStream(th.Stream())
-	ri0, err := e.mgr.ReinstateThread(0, "pre-id", "chiueh", st4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ri0.ID() <= 0 || ri0.Cursor() != nil {
-		t.Fatalf("pre-id reinstate = id %d cursor %+v, want fresh id and initial point", ri0.ID(), ri0.Cursor())
+	if got := len(ri.Stream().Records()); got != want {
+		t.Fatalf("reinstated stream has %d records, want %d", got, want)
 	}
 
-	st5, _ := copyStream(th.Stream())
-	if _, err := e.mgr.ReinstateThread(501, "bad", "chiueh", st5, 99999); err == nil {
+	st2, _ := copyStream(th.Stream())
+	if _, err := e.mgr.ReinstateThread(501, "bad", "chiueh", st2, 99999); err == nil {
 		t.Fatal("reinstate with a bogus cursor succeeded")
 	}
 }

@@ -1,7 +1,7 @@
 package activity
 
 // WAL integration: the activity manager logs thread lifecycle events
-// (create/fork/cascade/join/restore/drop), control-stream record
+// (create/fork/cascade/join/reclaim/drop), control-stream record
 // attaches, and rework cursor moves, so a crashed session's design
 // threads recover alongside the object store (docs/DURABILITY.md).
 //
@@ -28,7 +28,7 @@ func (m *Manager) AttachWAL(l *wal.Log) { m.wal = l }
 
 // walThreadOp is the RecThread payload: one thread lifecycle event.
 // Stream is the full persisted control stream for ops that construct one
-// (fork/cascade/join/restore); empty for create and drop.
+// (fork/cascade/join/reclaim); empty for create and drop.
 type walThreadOp struct {
 	Op       string          `json:"op"`
 	ID       int             `json:"id"`
@@ -162,16 +162,16 @@ func (m *Manager) ReplayWALRecord(r wal.Record) (applied bool, err error) {
 	return false, nil
 }
 
-// replayThread finds or creates the thread a replayed op targets.
+// replayThread finds or creates the thread a replayed op targets and
+// gives it the op's name and owner.
 func (m *Manager) replayThread(id int, name, owner string) *Thread {
-	if t, ok := m.threads[id]; ok {
-		return t
+	t, ok := m.threads[id]
+	if !ok {
+		t = &Thread{id: id, mgr: m, stream: history.NewStream()}
+		m.threads[id] = t
+		m.nextThread = max(m.nextThread, id)
 	}
-	t := &Thread{id: id, name: name, owner: owner, mgr: m, stream: history.NewStream()}
-	m.threads[id] = t
-	if m.nextThread < id {
-		m.nextThread = id
-	}
+	t.name, t.owner = name, owner
 	return t
 }
 
@@ -180,29 +180,37 @@ func (m *Manager) replayThreadOp(p walThreadOp) error {
 		delete(m.threads, p.ID)
 		return nil
 	}
-	t := m.replayThread(p.ID, p.Name, p.Owner)
-	t.name, t.owner = p.Name, p.Owner
 	if len(p.Stream) == 0 {
+		m.replayThread(p.ID, p.Name, p.Owner)
 		return nil
 	}
 	stream, err := history.Load(bytes.NewReader(p.Stream))
+	if err == nil {
+		_, err = m.installThread(p.ID, p.Name, p.Owner, stream, p.CursorID)
+	}
 	if err != nil {
 		return fmt.Errorf("activity: replay thread %d op %s: %w", p.ID, p.Op, err)
 	}
-	t.stream = stream
-	t.cursor = nil
-	t.timeIndex = nil
-	if p.CursorID != 0 {
-		rec, ok := stream.ByID(p.CursorID)
+	return nil
+}
+
+// installThread finds or creates thread id and installs a whole control
+// stream and its cursor (a record ID; 0 is the initial point): the one
+// path for a snapshot's threads and the log's full-stream thread ops.
+func (m *Manager) installThread(id int, name, owner string, stream *history.Stream, cursorID int) (*Thread, error) {
+	t := m.replayThread(id, name, owner)
+	t.stream, t.cursor, t.timeIndex = stream, nil, nil
+	if cursorID != 0 {
+		rec, ok := stream.ByID(cursorID)
 		if !ok {
-			return fmt.Errorf("activity: replay thread %d: cursor %d not in stream", p.ID, p.CursorID)
+			return nil, fmt.Errorf("activity: thread %d: cursor %d not in stream", id, cursorID)
 		}
 		t.cursor = rec
 	}
 	for _, r := range stream.Records() {
 		t.indexRecord(r)
 	}
-	return nil
+	return t, nil
 }
 
 func (m *Manager) replayAttach(p walAttach) error {

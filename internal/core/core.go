@@ -132,6 +132,9 @@ type System struct {
 	Memo *memo.Cache
 
 	cfg Config
+	// gen is the checkpoint generation of the last snapshot this System
+	// saved or recovered from, or the highest one its log checkpointed.
+	gen int64
 
 	spacesMu sync.Mutex
 	spaces   map[string]*sds.Space

@@ -4,19 +4,16 @@ package core
 // write-ahead log and attaches it to the object store and the activity
 // manager. Every committed version batch, thread lifecycle event, record
 // attach, and cursor move is appended as it happens and committed once
-// before the operation is acknowledged; SaveSession doubles as the
-// checkpoint that compacts the log. Recover rebuilds a System from the
-// snapshot plus the log tail after a crash (docs/DURABILITY.md).
+// before the operation is acknowledged; SaveSession's snapshot is the
+// checkpoint the log is pruned against, and Recover rebuilds a System
+// from that snapshot plus the log tail (docs/DURABILITY.md).
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 
-	"papyrus/internal/history"
 	"papyrus/internal/obs"
+	"papyrus/internal/oct"
 	"papyrus/internal/wal"
 )
 
@@ -70,39 +67,80 @@ func (s *System) Close() error {
 	return s.WAL.Close()
 }
 
-// Recover rebuilds a System after a crash: the session snapshot in
-// sessionDir (SaveSession's store.json + threads.json; "" or missing
-// files mean no snapshot was ever taken) is the checkpoint, and the
-// write-ahead log in cfg.Durability.Dir replays the delta since. The
-// torn tail a crashed writer left behind is truncated, checkpoint
-// fingerprints are verified against the restored snapshot, and the
-// recovered System continues appending to the same log. The returned
-// stats report how much log was read and how many trailing bytes were
-// discarded.
+// Recover rebuilds a System from the snapshot in sessionDir ("" or a
+// missing file mean none) and, with cfg.Durability set, the log tail; it
+// is the only reader of the snapshot. Inference and the memo cache are
+// re-derived, and the System keeps appending to the same log. Neither a
+// snapshot nor a log record is an error; a snapshot with an empty log is
+// adopted and a fresh checkpoint anchors the log to it. The stats report
+// how much log was read and how many torn bytes were discarded.
 func Recover(cfg Config, sessionDir string) (*System, wal.ReplayStats, error) {
-	d := cfg.Durability
-	if d == nil || d.Dir == "" {
-		return nil, wal.ReplayStats{}, fmt.Errorf("core: Recover requires Config.Durability")
-	}
+	var stats wal.ReplayStats
 	// Build the system with the log detached: nothing that happens during
 	// snapshot restore or log replay may re-append.
 	bare := cfg
 	bare.Durability = nil
 	s, err := New(bare)
 	if err != nil {
-		return nil, wal.ReplayStats{}, err
+		return nil, stats, err
 	}
-	s.cfg.Durability = d
+	s.cfg.Durability = cfg.Durability
 
-	if sessionDir != "" {
-		if err := s.restoreSnapshotIfPresent(sessionDir); err != nil {
-			return nil, wal.ReplayStats{}, err
+	haveSnap, err := s.restoreSnapshot(sessionDir)
+	if err != nil {
+		return nil, stats, err
+	}
+	if d := cfg.Durability; d != nil && d.Dir != "" {
+		if stats, err = s.replayLog(d.Dir, haveSnap); err != nil {
+			return nil, stats, err
 		}
 	}
+	if !haveSnap && stats.Records == 0 {
+		return nil, stats, fmt.Errorf("core: nothing to recover: no snapshot in %q and no log records", sessionDir)
+	}
+	s.rederive()
 
-	// Replay every valid record through both subsystems; wal.Replay stops
-	// cleanly at the torn tail.
-	stats, err := wal.Replay(d.Dir, func(r wal.Record) error {
+	// Reopen for continued appends: wal.Open truncates the torn tail, so
+	// the log's durable content now matches the recovered state exactly.
+	if err := s.openWAL(); err != nil {
+		return nil, stats, err
+	}
+	if haveSnap && stats.Records == 0 && s.WAL != nil {
+		if err = s.Store.Checkpoint(s.gen); err == nil {
+			err = s.WAL.Prune()
+		}
+	}
+	if err != nil {
+		_ = s.Close() // the anchoring error is the one to report
+		return nil, stats, err
+	}
+	return s, stats, nil
+}
+
+// replayLog applies the log in dir after a restored snapshot's checkpoint
+// record (all of it without a snapshot), whose fingerprint the store
+// verifies; a log that never checkpointed the snapshot's generation is an
+// error. s.gen becomes the highest generation logged, so the next save
+// never reuses one a crashed save already checkpointed.
+func (s *System) replayLog(dir string, haveSnap bool) (wal.ReplayStats, error) {
+	snapGen, skipping := s.gen, haveSnap
+	stats, err := wal.Replay(dir, func(r wal.Record) error {
+		if r.Type == wal.RecCheckpoint {
+			var p oct.CheckpointPayload
+			if err := json.Unmarshal(r.Payload, &p); err != nil {
+				return fmt.Errorf("core: decode WAL checkpoint: %w", err)
+			}
+			if skipping && p.Generation == snapGen {
+				skipping = false
+			}
+			if p.Generation > s.gen {
+				s.gen = p.Generation
+			}
+		}
+		if skipping {
+			s.Metrics.Inc("wal.recover.skipped")
+			return nil
+		}
 		storeApplied, err := s.Store.ReplayWALRecord(r)
 		if err != nil {
 			return err
@@ -119,77 +157,20 @@ func Recover(cfg Config, sessionDir string) (*System, wal.ReplayStats, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, stats, err
+		return stats, err
+	}
+	if skipping && stats.Records > 0 {
+		return stats, fmt.Errorf("core: the log never checkpointed snapshot generation %d: snapshot and WAL describe different histories", snapGen)
 	}
 	s.Metrics.Add("wal.recover.records", int64(stats.Records))
 	s.Metrics.Add("wal.recover.segments", int64(stats.Segments))
 	if s.Trace != nil {
-		s.Trace.Emit(obs.Event{VT: s.Cluster.Now(), Type: obs.EvWALRecover, Name: d.Dir,
+		s.Trace.Emit(obs.Event{VT: s.Cluster.Now(), Type: obs.EvWALRecover, Name: dir,
 			Args: map[string]string{
 				"records":   fmt.Sprintf("%d", stats.Records),
 				"segments":  fmt.Sprintf("%d", stats.Segments),
 				"truncated": fmt.Sprintf("%d", stats.Truncated),
 			}})
 	}
-
-	// Re-feed the recovered histories to the inference engine (Ch. 6: the
-	// history subsumes the metadata), mirroring LoadSession.
-	if s.Inference != nil {
-		for _, t := range s.Activity.Threads() {
-			for _, rec := range t.Stream().Records() {
-				for _, step := range rec.Steps {
-					s.Inference.ObserveStep(step)
-				}
-			}
-		}
-	}
-
-	// The memo cache is derived data (no log of its own): rebuild it from
-	// the recovered history so post-crash rework replays are still hits.
-	s.WarmMemo()
-
-	// Reopen for continued appends: wal.Open truncates the torn tail, so
-	// the log's durable content now matches the recovered state exactly.
-	if err := s.openWAL(); err != nil {
-		return nil, stats, err
-	}
-	return s, stats, nil
-}
-
-// restoreSnapshotIfPresent loads store.json and threads.json from dir,
-// treating missing files as an empty snapshot — a crash may predate the
-// first SaveSession. Threads keep their saved IDs so the log tail can
-// reference them; inference re-feeding is the caller's job (it must see
-// the post-replay streams, not the snapshot's).
-func (s *System) restoreSnapshotIfPresent(dir string) error {
-	storeData, err := os.ReadFile(filepath.Join(dir, storeFile))
-	switch {
-	case err == nil:
-		if err := s.Store.Restore(bytes.NewReader(storeData)); err != nil {
-			return err
-		}
-	case !os.IsNotExist(err):
-		return fmt.Errorf("core: read session store: %w", err)
-	}
-
-	threadData, err := os.ReadFile(filepath.Join(dir, threadsFile))
-	switch {
-	case err == nil:
-		var sf sessionFile
-		if err := json.Unmarshal(threadData, &sf); err != nil {
-			return fmt.Errorf("core: decode session threads: %w", err)
-		}
-		for _, st := range sf.Threads {
-			stream, err := history.Load(bytes.NewReader(st.Stream))
-			if err != nil {
-				return fmt.Errorf("core: load thread %q: %w", st.Name, err)
-			}
-			if _, err := s.Activity.ReinstateThread(st.ID, st.Name, st.Owner, stream, st.CursorID); err != nil {
-				return err
-			}
-		}
-	case !os.IsNotExist(err):
-		return fmt.Errorf("core: read session threads: %w", err)
-	}
-	return nil
+	return stats, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -275,5 +276,258 @@ func TestSaveRecoverKeepsThreadIDs(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stateText renders what a crash cut must preserve: the version map and,
+// per thread, its identity, cursor and saved control stream.
+func stateText(t *testing.T, s *System) string {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString(s.Store.VersionMapText())
+	for _, th := range s.Activity.Threads() {
+		cursor := 0
+		if c := th.Cursor(); c != nil {
+			cursor = c.ID
+		}
+		fmt.Fprintf(&b, "thread %d %q %q cursor %d\n", th.ID(), th.Name(), th.Owner(), cursor)
+		if err := th.Stream().Save(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.String()
+}
+
+// copyDir copies every regular file of src into a fresh dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRecoveryMatrixCheckpoint is the checkpoint dimension of the
+// crash-recovery matrix. A durable run saves, works on, and saves again;
+// the second save is cut after every filesystem step of its write order
+// (checkpoint record durable, temp written, temp synced, renamed,
+// directory synced, old segments pruned), before it starts, inside its checkpoint frame and
+// at torn offsets of its temp file. Every cut must recover through
+// Recover(cfg, snapDir) to the pre-save or the post-save state, and the
+// recovered system must save and recover once more to its own state.
+func TestRecoveryMatrixCheckpoint(t *testing.T) {
+	walDir, snapDir := t.TempDir(), t.TempDir()
+	cfg := Config{Nodes: 2, Durability: &DurabilityConfig{Dir: walDir, FsyncEvery: 1}}
+	s := newSystem(t, cfg)
+	durableWorkload(t, s)
+	if err := s.SaveSession(snapDir); err != nil {
+		t.Fatal(err)
+	}
+	// Post-save work: a new branch in the reworked thread and a second
+	// thread, so the log tail holds commits, attaches and thread ops.
+	th := s.Activity.Threads()[0]
+	if _, err := s.Invoke(th, "PLA-generation",
+		map[string]string{"Inlogic": "sh.logic"},
+		map[string]string{"Outcell": "sh.pla2"}); err != nil {
+		t.Fatal(err)
+	}
+	s.NewThread("second", "u")
+	pre := stateText(t, s)
+
+	cuts := t.TempDir()
+	capture := func(name string) string {
+		dir := filepath.Join(cuts, name)
+		copyDir(t, walDir, filepath.Join(dir, "wal"))
+		copyDir(t, snapDir, filepath.Join(dir, "snap"))
+		return dir
+	}
+	capture("begin")
+	var steps []string
+	saveStep = func(step string) { steps = append(steps, step); capture(step) }
+	err := s.SaveSession(snapDir)
+	saveStep = func(string) {}
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := stateText(t, s)
+	if want := "checkpoint write sync rename dirsync prune"; strings.Join(steps, " ") != want {
+		t.Fatalf("save steps %v, want %s", steps, want)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Derived cuts: the checkpoint frame torn (rotation done, record not
+	// yet whole) and the temp snapshot torn.
+	segs, err := filepath.Glob(filepath.Join(cuts, "checkpoint", "wal", "wal-*.log"))
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("checkpoint cut has segments %v (%v), want the old ones kept", segs, err)
+	}
+	sort.Strings(segs)
+	frame, err := os.ReadFile(segs[len(segs)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, len(frame) / 2, len(frame) - 1} {
+		dir := filepath.Join(cuts, fmt.Sprintf("frame-%d", n))
+		copyDir(t, filepath.Join(cuts, "checkpoint", "wal"), filepath.Join(dir, "wal"))
+		copyDir(t, filepath.Join(cuts, "begin", "snap"), filepath.Join(dir, "snap"))
+		if err := os.Truncate(filepath.Join(dir, "wal", filepath.Base(segs[len(segs)-1])), int64(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tmp, err := os.ReadFile(filepath.Join(cuts, "write", "snap", snapshotTemp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, len(tmp) / 2, len(tmp) - 1} {
+		dir := filepath.Join(cuts, fmt.Sprintf("temp-%d", n))
+		copyDir(t, filepath.Join(cuts, "write", "wal"), filepath.Join(dir, "wal"))
+		copyDir(t, filepath.Join(cuts, "write", "snap"), filepath.Join(dir, "snap"))
+		if err := os.Truncate(filepath.Join(dir, "snap", snapshotTemp), int64(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	entries, err := os.ReadDir(cuts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		dir := filepath.Join(cuts, e.Name())
+		ccfg := cfg
+		ccfg.Durability = &DurabilityConfig{Dir: filepath.Join(dir, "wal"), FsyncEvery: 1}
+		r, _, err := Recover(ccfg, filepath.Join(dir, "snap"))
+		if err != nil {
+			t.Errorf("cut %s: recovery failed: %v", e.Name(), err)
+			continue
+		}
+		if got := stateText(t, r); got != pre && got != post {
+			t.Errorf("cut %s: recovered neither the pre-save nor the post-save state:\n%s", e.Name(), got)
+		}
+		// The recovered system checkpoints on: its next save must not
+		// reuse a generation the cut log already holds, or a crash of
+		// that save before it prunes would verify the new snapshot
+		// against the stale checkpoint record.
+		if _, err := r.ImportObject("/after", oct.TypeBehavioral, oct.Text(logic.ShifterBehavior(3))); err != nil {
+			t.Fatal(err)
+		}
+		want := stateText(t, r)
+		unpruned := filepath.Join(dir, "unpruned")
+		saveStep = func(step string) {
+			if step == "dirsync" {
+				copyDir(t, ccfg.Durability.Dir, filepath.Join(unpruned, "wal"))
+				copyDir(t, filepath.Join(dir, "snap"), filepath.Join(unpruned, "snap"))
+			}
+		}
+		err = r.SaveSession(filepath.Join(dir, "snap"))
+		saveStep = func(string) {}
+		if err != nil {
+			t.Fatalf("cut %s: save after recovery: %v", e.Name(), err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []string{dir, unpruned} {
+			dcfg := cfg
+			dcfg.Durability = &DurabilityConfig{Dir: filepath.Join(d, "wal"), FsyncEvery: 1}
+			again, _, err := Recover(dcfg, filepath.Join(d, "snap"))
+			if err != nil {
+				t.Errorf("cut %s: recovery after a post-recovery save (%s) failed: %v", e.Name(), d, err)
+				continue
+			}
+			if got := stateText(t, again); got != want {
+				t.Errorf("cut %s: post-recovery save lost state:\n--- want ---\n%s--- got ---\n%s", e.Name(), want, got)
+			}
+			if err := again.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	t.Logf("recovered %d checkpoint cuts", len(entries))
+}
+
+// TestRecoverRules pins what Recover does with each combination of
+// snapshot and log.
+func TestRecoverRules(t *testing.T) {
+	durable := func() Config {
+		return Config{Nodes: 2, Durability: &DurabilityConfig{Dir: t.TempDir()}}
+	}
+
+	// Neither a snapshot nor a log record: nothing to recover.
+	for _, cfg := range []Config{{Nodes: 2}, durable()} {
+		for _, dir := range []string{"", t.TempDir()} {
+			if _, _, err := Recover(cfg, dir); err == nil || !strings.Contains(err.Error(), "nothing to recover") {
+				t.Errorf("durable=%v dir=%q: Recover error %v, want nothing to recover", cfg.Durability != nil, dir, err)
+			}
+		}
+	}
+
+	// A snapshot with an empty log is adopted, and a fresh checkpoint
+	// anchors the log: later work recovers on top of the same snapshot.
+	snap := t.TempDir()
+	plain := newSystem(t, Config{Nodes: 2})
+	durableWorkload(t, plain)
+	if err := plain.SaveSession(snap); err != nil {
+		t.Fatal(err)
+	}
+	cfg := durable()
+	r, stats, err := Recover(cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Records != 0 {
+		t.Errorf("adopting replayed %d records from an empty log", stats.Records)
+	}
+	compareRecovered(t, plain, r)
+	if _, err := r.Invoke(r.Activity.Threads()[0], "PLA-generation",
+		map[string]string{"Inlogic": "sh.logic"},
+		map[string]string{"Outcell": "sh.pla2"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, _, err := Recover(cfg, snap)
+	if err != nil {
+		t.Fatalf("recovering the anchored log: %v", err)
+	}
+	compareRecovered(t, r, again)
+	if err := again.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A missing snapshot with a log recovers from the log alone.
+	logOnly := durable()
+	w := newSystem(t, logOnly)
+	durableWorkload(t, w)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fromLog, _, err := Recover(logOnly, t.TempDir())
+	if err != nil {
+		t.Fatalf("missing snapshot with a log: %v", err)
+	}
+	compareRecovered(t, w, fromLog)
+	if err := fromLog.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A non-empty log that never checkpointed the snapshot's generation
+	// belongs to another history.
+	if _, _, err := Recover(logOnly, snap); err == nil || !strings.Contains(err.Error(), "never checkpointed") {
+		t.Errorf("foreign log: Recover error %v, want never checkpointed", err)
 	}
 }

@@ -3,10 +3,10 @@ package core
 // Memoization wiring. The step-result cache (internal/memo) is pure
 // derived data: its keys and payloads are functions of the design history
 // and the store's immutable versions, so it keeps no write-ahead log of
-// its own. After a crash, Recover rebuilds it by re-keying every cleanly
-// completed step of every recovered thread — WarmMemo below — which makes
-// "crash mid-populate" harmless by construction: an entry the crash lost
-// is recomputed from the same history that produced it (docs/CACHING.md).
+// its own. Recover rebuilds it by re-keying every cleanly completed step
+// of every recovered thread — rederive below — which makes "crash
+// mid-populate" harmless by construction: an entry the crash lost is
+// recomputed from the same history that produced it (docs/CACHING.md).
 
 import (
 	"fmt"
@@ -14,24 +14,26 @@ import (
 	"papyrus/internal/obs"
 )
 
-// WarmMemo rebuilds the memo cache from the activity manager's recovered
-// design history: every successfully completed step whose input and
-// output versions are still materialized in the store is re-keyed and
-// populated. Returns the number of entries added. A no-op without a
-// configured cache.
-func (s *System) WarmMemo() int {
-	if s.Memo == nil {
-		return 0
-	}
+// rederive rebuilds, in one pass over the recovered steps, the state
+// derived from design history: inference re-observes every step (Ch. 6:
+// the history subsumes the metadata), and the memo cache re-keys every
+// completed step whose versions are still materialized in the store.
+func (s *System) rederive() {
 	warmed := 0
 	for _, t := range s.Activity.Threads() {
 		for _, rec := range t.Stream().Records() {
 			for _, step := range rec.Steps {
-				if s.Memo.WarmStep(s.Store, step) {
+				if s.Inference != nil {
+					s.Inference.ObserveStep(step)
+				}
+				if s.Memo != nil && s.Memo.WarmStep(s.Store, step) {
 					warmed++
 				}
 			}
 		}
+	}
+	if s.Memo == nil {
+		return
 	}
 	s.Metrics.Add("memo.warm", int64(warmed))
 	if s.Trace != nil && warmed > 0 {
@@ -40,5 +42,4 @@ func (s *System) WarmMemo() int {
 			Args: map[string]string{"entries": fmt.Sprintf("%d", warmed)},
 		})
 	}
-	return warmed
 }

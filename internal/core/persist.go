@@ -11,34 +11,45 @@ import (
 )
 
 // Session persistence: the dissertation keeps design data and the history
-// persistently so the activity manager, the reclamation process, and later
-// sessions share one durable state (§5.3). SaveSession/LoadSession extend
-// that to the whole environment: the object store snapshots through the
-// oct codecs and every thread's control stream through the history
-// package's persistent form.
+// as one persistent state shared by the activity manager, the reclamation
+// process, and later sessions (§5.3). SaveSession writes it as one file,
+// session.json — the store, every thread's control stream and the
+// checkpoint generation — in a crash-safe order: the log's checkpoint
+// record first, then the snapshot via a fsynced temp file, a rename and a
+// directory fsync, and only then the pruning of the log segments it
+// covers. Recover (durable.go) is the only reader (docs/DURABILITY.md).
 
-// sessionThread is one persisted thread. ID keeps the activity-manager
-// thread ID stable across save/recover, so write-ahead log records —
-// which reference threads by ID — replay against the restored thread
-// (0 in pre-ID session files: restore allocates a fresh ID).
+const (
+	snapshotFile = "session.json"
+	snapshotTemp = snapshotFile + ".tmp"
+)
+
+// sessionThread is one persisted thread. Its ID stays stable across
+// save/recover, so log records, which name threads by ID, replay on it.
 type sessionThread struct {
-	ID       int             `json:"id,omitempty"`
+	ID       int             `json:"id"`
 	Name     string          `json:"name"`
 	Owner    string          `json:"owner"`
 	CursorID int             `json:"cursor_id"`
 	Stream   json.RawMessage `json:"stream"`
 }
 
-type sessionFile struct {
-	Threads []sessionThread `json:"threads"`
+// sessionSnapshot is the content of session.json. Generation counts the
+// checkpoints taken with a log attached; the log's checkpoint record of
+// the same generation marks the end of what Store and Threads cover.
+type sessionSnapshot struct {
+	Generation int64           `json:"generation"`
+	Store      json.RawMessage `json:"store"`
+	Threads    []sessionThread `json:"threads"`
 }
 
-const (
-	storeFile   = "store.json"
-	threadsFile = "threads.json"
-)
+// saveStep runs after each filesystem step of SaveSession's write order,
+// naming it; tests replace it to capture the on-disk state at every cut.
+var saveStep = func(step string) {}
 
-// SaveSession writes the store and all threads under dir.
+// SaveSession writes the store and all threads under dir as one snapshot
+// and, with durability armed, makes it the log's next checkpoint. Call it
+// at a quiescent point, so the snapshot and the checkpoint agree.
 func (s *System) SaveSession(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -52,15 +63,15 @@ func (s *System) SaveSession(dir string) error {
 			return fmt.Errorf("core: pre-checkpoint sweep: %w", err)
 		}
 	}
-	var storeBuf bytes.Buffer
-	if err := s.Store.Snapshot(&storeBuf); err != nil {
+	snap := sessionSnapshot{Generation: s.gen}
+	if s.WAL != nil {
+		snap.Generation++
+	}
+	var buf bytes.Buffer
+	if err := s.Store.Snapshot(&buf); err != nil {
 		return fmt.Errorf("core: snapshot store: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, storeFile), storeBuf.Bytes(), 0o644); err != nil {
-		return err
-	}
-
-	var sf sessionFile
+	snap.Store = buf.Bytes()
 	for _, t := range s.Activity.Threads() {
 		var streamBuf bytes.Buffer
 		if err := t.Stream().Save(&streamBuf); err != nil {
@@ -70,68 +81,97 @@ func (s *System) SaveSession(dir string) error {
 		if c := t.Cursor(); c != nil {
 			st.CursorID = c.ID
 		}
-		sf.Threads = append(sf.Threads, st)
+		snap.Threads = append(snap.Threads, st)
 	}
-	data, err := json.MarshalIndent(&sf, "", "  ")
+	data, err := json.Marshal(&snap)
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, threadsFile), data, 0o644); err != nil {
+	if err := s.Store.Checkpoint(snap.Generation); err != nil {
 		return err
 	}
-	// The snapshot is the checkpoint (docs/DURABILITY.md): compact the
-	// write-ahead log against it. No-op without durability.
-	return s.Store.Checkpoint()
+	saveStep("checkpoint")
+	if err := writeSnapshot(dir, append(data, '\n')); err != nil {
+		return err
+	}
+	s.gen = snap.Generation
+	err = s.WAL.Prune()
+	saveStep("prune")
+	return err
 }
 
-// LoadSession builds a fresh System from cfg and restores a saved session
-// into it. The simulated cluster restarts at virtual time zero (processes
-// do not survive sessions — the dissertation explicitly leaves crash
-// recovery of in-flight work out of scope).
-func LoadSession(cfg Config, dir string) (*System, error) {
-	s, err := New(cfg)
+// writeSnapshot replaces dir's snapshot file with data crash-atomically:
+// a temp file is written and fsynced, renamed into place, and the
+// directory is fsynced so the rename itself is durable.
+func writeSnapshot(dir string, data []byte) error {
+	tmp := filepath.Join(dir, snapshotTemp)
+	err := os.WriteFile(tmp, data, 0o644)
+	saveStep("write")
+	if err == nil {
+		err = fsync(tmp)
+	}
+	saveStep("sync")
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, snapshotFile))
+	}
+	saveStep("rename")
+	if err == nil {
+		err = fsync(dir)
+	}
+	saveStep("dirsync")
+	return err
+}
+
+// fsync flushes a file, or a directory to make renames in it durable.
+// An fsync through any descriptor covers every write to the file.
+func fsync(path string) error {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	storeData, err := os.ReadFile(filepath.Join(dir, storeFile))
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// restoreSnapshot, the one decoder of the snapshot file, restores dir's
+// snapshot into the fresh System s; false means dir is "" or holds none.
+// It fails closed: a document that does not decode, a thread ID below 1,
+// two threads with one ID and a malformed control stream are errors.
+func (s *System) restoreSnapshot(dir string) (bool, error) {
+	if dir == "" {
+		return false, nil
+	}
+	data, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if os.IsNotExist(err) {
+		return false, nil
+	}
 	if err != nil {
-		return nil, fmt.Errorf("core: read session store: %w", err)
+		return false, fmt.Errorf("core: read snapshot: %w", err)
 	}
-	if err := s.Store.Restore(bytes.NewReader(storeData)); err != nil {
-		return nil, err
+	var snap sessionSnapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return false, fmt.Errorf("core: decode snapshot: %w", err)
 	}
-	threadData, err := os.ReadFile(filepath.Join(dir, threadsFile))
-	if err != nil {
-		return nil, fmt.Errorf("core: read session threads: %w", err)
+	if err := s.Store.Restore(bytes.NewReader(snap.Store)); err != nil {
+		return false, err
 	}
-	var sf sessionFile
-	if err := json.Unmarshal(threadData, &sf); err != nil {
-		return nil, fmt.Errorf("core: decode session threads: %w", err)
-	}
-	for _, st := range sf.Threads {
+	seen := make(map[int]bool, len(snap.Threads))
+	for _, st := range snap.Threads {
+		if st.ID < 1 || seen[st.ID] {
+			return false, fmt.Errorf("core: snapshot thread %q has duplicate or invalid ID %d", st.Name, st.ID)
+		}
+		seen[st.ID] = true
 		stream, err := history.Load(bytes.NewReader(st.Stream))
 		if err != nil {
-			return nil, fmt.Errorf("core: load thread %q: %w", st.Name, err)
+			return false, fmt.Errorf("core: load thread %q: %w", st.Name, err)
 		}
 		if _, err := s.Activity.ReinstateThread(st.ID, st.Name, st.Owner, stream, st.CursorID); err != nil {
-			return nil, err
-		}
-		// Re-feed the history to the inference engine so metadata
-		// (types, relationships, the ADG) is reconstructed — Ch. 6's
-		// point that the history subsumes the metadata.
-		if s.Inference != nil {
-			for _, rec := range stream.Records() {
-				for _, step := range rec.Steps {
-					s.Inference.ObserveStep(step)
-				}
-			}
+			return false, err
 		}
 	}
-	// With durability armed, anchor the (possibly fresh) log to the loaded
-	// state: the checkpoint record carries the restored store's
-	// fingerprint, making the log a valid delta on top of this snapshot.
-	if err := s.Store.Checkpoint(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	s.gen = snap.Generation
+	return true, nil
 }

@@ -3,6 +3,7 @@ package history
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"papyrus/internal/oct"
@@ -290,10 +291,17 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("not json")); err == nil {
-		t.Error("bad json accepted")
-	}
-	if _, err := Load(bytes.NewBufferString(`{"next_id":1,"records":[{"id":1,"task":"x","parent_ids":[99]}]}`)); err == nil {
-		t.Error("dangling parent accepted")
+	for _, tc := range []struct{ name, in, want string }{
+		{"bad json", "not json", "decode stream"},
+		{"dangling parent", `{"next_id":1,"records":[{"id":1,"task":"x","parent_ids":[99]}]}`, "missing parent"},
+		{"duplicate ID", `{"next_id":2,"records":[{"id":1,"task":"x"},{"id":1,"task":"y"}]}`, "two records with ID 1"},
+		{"own parent", `{"next_id":2,"records":[{"id":1,"task":"x","parent_ids":[1]}]}`, "parent cycle"},
+		{"two-record cycle", `{"next_id":3,"records":[{"id":1,"task":"x","parent_ids":[2]},{"id":2,"task":"y","parent_ids":[1]}]}`, "parent cycle"},
+		{"cycle below a root", `{"next_id":4,"records":[{"id":1,"task":"x"},{"id":2,"task":"y","parent_ids":[1,3]},{"id":3,"task":"z","parent_ids":[2]}]}`, "parent cycle"},
+	} {
+		_, err := Load(bytes.NewBufferString(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Load error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }

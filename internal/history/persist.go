@@ -36,7 +36,8 @@ func (s *Stream) Save(w io.Writer) error {
 	return json.NewEncoder(w).Encode(&ps)
 }
 
-// Load reads a stream previously written by Save.
+// Load reads a stream previously written by Save. Two records with one
+// ID, a missing parent and a parent cycle are errors.
 func Load(r io.Reader) (*Stream, error) {
 	var ps persistStream
 	if err := json.NewDecoder(r).Decode(&ps); err != nil {
@@ -50,6 +51,9 @@ func Load(r io.Reader) (*Stream, error) {
 		rec.parents, rec.children = nil, nil
 		rec.cachedState = nil
 		rp := &rec
+		if byID[rp.ID] != nil {
+			return nil, fmt.Errorf("history: two records with ID %d", rp.ID)
+		}
 		byID[rp.ID] = rp
 		s.records = append(s.records, rp)
 	}
@@ -67,6 +71,26 @@ func Load(r io.Reader) (*Stream, error) {
 			}
 			rec.parents = append(rec.parents, parent)
 			parent.children = append(parent.children, rec)
+		}
+	}
+	state := make(map[*Record]int8, len(s.records)) // 1: on the walk, 2: acyclic
+	var acyclic func(*Record) bool
+	acyclic = func(r *Record) bool {
+		if state[r] != 0 {
+			return state[r] == 2
+		}
+		state[r] = 1
+		for _, p := range r.parents {
+			if !acyclic(p) {
+				return false
+			}
+		}
+		state[r] = 2
+		return true
+	}
+	for _, rec := range s.records {
+		if !acyclic(rec) {
+			return nil, fmt.Errorf("history: record %d lies on a parent cycle", rec.ID)
 		}
 	}
 	// Recompute cached states for records that had them.

@@ -11,11 +11,9 @@ package oct
 // the caller — a task invocation, a rework, an import, a sweep — commits
 // the log once (wal.Log.Commit). A caller that mutates the store
 // directly acknowledges its own writes with Store.WAL().Commit(), which
-// is nil-safe. Recovery restores the
-// latest JSON snapshot (the checkpoint) and replays the log tail;
-// replay is idempotent — records already covered by the snapshot are
-// skipped by version slot — so the crash window between writing a
-// snapshot and pruning old segments is safe.
+// is nil-safe. Recovery restores the latest JSON snapshot and replays
+// the log tail from that snapshot's checkpoint record, whose fingerprint
+// verifies the restored content; commit replay is idempotent anyway.
 
 import (
 	"crypto/sha256"
@@ -105,20 +103,23 @@ func (s *Store) Fingerprint() string {
 }
 
 // CheckpointPayload is the RecCheckpoint payload written when a snapshot
-// is taken: the snapshot's store clock and version-map fingerprint.
+// is taken: the snapshot's generation, store clock and version-map
+// fingerprint.
 type CheckpointPayload struct {
+	Generation  int64  `json:"generation,omitempty"`
 	Clock       int64  `json:"clock"`
 	Fingerprint string `json:"fingerprint"`
 }
 
-// Checkpoint compacts the attached WAL against a snapshot just written
-// from this store: rotates, records the current clock and fingerprint,
-// and prunes segments the snapshot covers. No-op without an attached log.
-func (s *Store) Checkpoint() error {
+// Checkpoint appends and fsyncs the checkpoint record of snapshot
+// generation gen, describing the store's current clock and fingerprint.
+// The caller writes that snapshot and then prunes the log
+// (wal.Log.Prune). No-op without an attached log.
+func (s *Store) Checkpoint(gen int64) error {
 	if s.wal == nil {
 		return nil
 	}
-	payload, err := json.Marshal(&CheckpointPayload{Clock: s.Clock(), Fingerprint: s.Fingerprint()})
+	payload, err := json.Marshal(&CheckpointPayload{Generation: gen, Clock: s.Clock(), Fingerprint: s.Fingerprint()})
 	if err != nil {
 		return err
 	}
@@ -219,13 +220,11 @@ func (s *Store) applyWALCommit(c walCommit) (bool, error) {
 	return applied, nil
 }
 
-// Recover rebuilds a store from a snapshot (the checkpoint; nil for
-// none) plus the WAL tail in walDir. It restores the snapshot, replays
-// every valid record — stopping cleanly at a torn tail — verifies any
-// checkpoint record's fingerprint against the restored content, and
-// bumps wal.recover.* counters on metrics (nil-safe). The returned stats
-// report how much log was read and how many trailing bytes a crashed
-// writer left unusable.
+// Recover rebuilds a store alone from a store snapshot (nil for none)
+// plus the WAL tail in walDir, verifying every checkpoint record against
+// the replayed content and bumping wal.recover.* counters on metrics
+// (nil-safe); core.Recover is the session-level reader. The stats report
+// how much log was read and how many torn bytes were left unusable.
 func Recover(snapshot io.Reader, walDir string, metrics *obs.Registry) (*Store, wal.ReplayStats, error) {
 	s := NewStore()
 	if snapshot != nil {
@@ -233,16 +232,6 @@ func Recover(snapshot io.Reader, walDir string, metrics *obs.Registry) (*Store, 
 			return nil, wal.ReplayStats{}, err
 		}
 	}
-	stats, err := s.replayWAL(walDir, metrics)
-	if err != nil {
-		return nil, stats, err
-	}
-	return s, stats, nil
-}
-
-// replayWAL replays walDir into the store, counting applied and skipped
-// records.
-func (s *Store) replayWAL(walDir string, metrics *obs.Registry) (wal.ReplayStats, error) {
 	stats, err := wal.Replay(walDir, func(r wal.Record) error {
 		applied, err := s.ReplayWALRecord(r)
 		if err != nil {
@@ -256,9 +245,9 @@ func (s *Store) replayWAL(walDir string, metrics *obs.Registry) (wal.ReplayStats
 		return nil
 	})
 	if err != nil {
-		return stats, err
+		return nil, stats, err
 	}
 	metrics.Add("wal.recover.records", int64(stats.Records))
 	metrics.Add("wal.recover.segments", int64(stats.Segments))
-	return stats, nil
+	return s, stats, nil
 }

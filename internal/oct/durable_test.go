@@ -64,7 +64,10 @@ func TestSnapshotCheckpointRecover(t *testing.T) {
 	if err := s.Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(); err != nil {
+	if err := s.Checkpoint(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Prune(); err != nil {
 		t.Fatal(err)
 	}
 	if n := l.SegmentCount(); n != 1 {

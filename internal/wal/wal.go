@@ -1,12 +1,12 @@
 // Package wal is the durability backbone of the Papyrus reproduction: a
 // CRC32C-framed, length-prefixed, append-only write-ahead log with
 // torn-tail truncation, fsync batching (group commit on a virtual-tick
-// interval), segment rotation, and checkpoint-based compaction against
-// the existing JSON snapshots (snapshot = checkpoint, WAL = delta).
+// interval), segment rotation, and checkpoints that let the caller prune
+// the segments a session snapshot covers (snapshot = state, WAL = delta).
 //
 // The dissertation keeps the design database and control-stream history
-// persistent so sessions survive process boundaries (§5.3); the snapshot
-// files alone cannot honor that between save points — a crash loses every
+// persistent so sessions survive process boundaries (§5.3); the session
+// snapshot alone cannot honor that between save points — a crash loses every
 // committed single-assignment version since the last snapshot. The WAL
 // closes that window: the object store appends one record per committed
 // version batch before the commit is acknowledged, the activity manager
@@ -60,8 +60,9 @@ const (
 	// join, prune, drop (internal/activity).
 	RecThread RecordType = 4
 	// RecCheckpoint marks a snapshot boundary: everything before it is
-	// covered by the snapshot files. Its payload carries the snapshot's
-	// clock and version-map fingerprint for recovery verification.
+	// covered by the session snapshot of the generation it names. Its
+	// payload carries that generation and the snapshot's clock and
+	// version-map fingerprint for recovery verification.
 	RecCheckpoint RecordType = 5
 	// RecReclaim is one batch of physically reclaimed versions: the
 	// background reclaimer's deletions for a single lock stripe, appended
@@ -178,6 +179,7 @@ type Log struct {
 	cond      *sync.Cond // signaled when an in-flight fsync completes
 	f         *os.File
 	seq       int   // current segment sequence number
+	ckptSeq   int   // segment the last Checkpoint started; Prune deletes older ones
 	size      int64 // bytes written to the current segment
 	lastSync  int64 // virtual time of the last fsync
 	bytes     int64 // total appended bytes (probe, not a registry metric)
@@ -501,13 +503,10 @@ func (l *Log) Sync() error {
 	return l.flushLocked(l.now())
 }
 
-// Checkpoint compacts the log against a snapshot that now covers every
-// record appended so far: it rotates to a fresh segment, writes the
-// checkpoint record (carrying the snapshot's clock and version-map
-// fingerprint) as that segment's first frame, fsyncs, and deletes all
-// older segments. Recovery restores the snapshot and replays from the
-// checkpoint on; if the process dies between the snapshot write and the
-// segment pruning, the surviving older segments replay idempotently.
+// Checkpoint rotates to a fresh segment, writes the checkpoint record as
+// its first frame, and fsyncs. It deletes nothing: the caller writes the
+// snapshot the record describes and only then calls Prune, so until then
+// the previous snapshot still recovers through its own checkpoint record.
 func (l *Log) Checkpoint(payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -526,21 +525,34 @@ func (l *Log) Checkpoint(payload []byte) error {
 	if err := l.flushLocked(l.now()); err != nil {
 		return err
 	}
+	l.ckptSeq = l.seq
+	l.opts.Metrics.Inc("wal.checkpoint.count")
+	if tr := l.opts.Tracer; tr != nil {
+		tr.Emit(obs.Event{VT: l.now(), Type: obs.EvWALCheckpoint,
+			Args: map[string]string{"segment": fmt.Sprint(l.seq)}})
+	}
+	return nil
+}
+
+// Prune deletes, oldest first, every segment older than the last
+// Checkpoint's; call it once that checkpoint's snapshot is durable. A
+// no-op on a nil Log and before any Checkpoint.
+func (l *Log) Prune() error {
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	seqs, err := segments(l.opts.Dir)
 	if err != nil {
 		return err
 	}
 	for _, seq := range seqs {
-		if seq < l.seq {
+		if seq < l.ckptSeq {
 			if err := os.Remove(filepath.Join(l.opts.Dir, segmentName(seq))); err != nil {
 				return fmt.Errorf("wal: prune segment %d: %w", seq, err)
 			}
 		}
-	}
-	l.opts.Metrics.Inc("wal.checkpoint.count")
-	if tr := l.opts.Tracer; tr != nil {
-		tr.Emit(obs.Event{VT: l.now(), Type: obs.EvWALCheckpoint,
-			Args: map[string]string{"segment": fmt.Sprint(l.seq)}})
 	}
 	return nil
 }

@@ -409,8 +409,16 @@ func TestCheckpointPrunesOldSegments(t *testing.T) {
 	if err := l.Checkpoint([]byte(`{"clock":5}`)); err != nil {
 		t.Fatal(err)
 	}
+	// The checkpoint alone deletes nothing: until the snapshot it
+	// describes is durable, the older segments must survive.
+	if n := l.SegmentCount(); n < 2 {
+		t.Fatalf("SegmentCount after checkpoint = %d, want the older segments kept", n)
+	}
+	if err := l.Prune(); err != nil {
+		t.Fatal(err)
+	}
 	if n := l.SegmentCount(); n != 1 {
-		t.Fatalf("SegmentCount after checkpoint = %d, want 1", n)
+		t.Fatalf("SegmentCount after prune = %d, want 1", n)
 	}
 	// New appends land after the checkpoint record.
 	if err := l.Append(rec(RecOCTCommit, "post")); err != nil {

@@ -17,8 +17,8 @@ package papyrus
 //
 // TestMemoCrashRecovery closes the durability loop: a WAL-armed memoized
 // run is abandoned without Close, Recover rebuilds a *fresh* cache from
-// the recovered history (core.WarmMemo), and the post-crash redo is
-// all hits with a store identical to the memo-off reference.
+// the recovered history in its re-derive pass, and the post-crash redo
+// is all hits with a store identical to the memo-off reference.
 // CI runs this file under -race -count=2 (.github/workflows/ci.yml).
 
 import (
@@ -371,9 +371,9 @@ func crashRedo(t *testing.T, withMemo bool) (string, *core.System) {
 }
 
 // TestMemoCrashRecovery: crash after a memoized WAL-armed run (no Close),
-// recover with a fresh cache, and verify WarmMemo makes the post-crash
-// redo all-hits with a store byte-identical to the memo-off flow through
-// the identical crash-and-recover path.
+// recover with a fresh cache, and verify the re-warmed cache makes the
+// post-crash redo all-hits with a store byte-identical to the memo-off
+// flow through the identical crash-and-recover path.
 func TestMemoCrashRecovery(t *testing.T) {
 	// The subtest is named for the map version index it runs on.
 	t.Run("map", func(t *testing.T) {
