@@ -745,7 +745,7 @@ func expRebuild() {
 		target, err := th.ResolveInput("d0")
 		must(err)
 		before := sys.Store.ObjectCount()
-		_, err = sys.Rebuild(target)
+		_, err = sys.Rebuild(th, target)
 		must(err)
 		rebuilt := sys.Store.ObjectCount() - before // new versions == tool runs here
 		fmt.Printf("%15d | %24d | %41d\n", fanout+1, retrace, rebuilt)

@@ -47,7 +47,7 @@ const helpText = `commands:
   objects                             list store objects
   meta <name[@v]>                     inferred metadata of an object
   outofdate <name[@v]>                is a derived object stale?
-  rebuild <name[@v]>                  replay its derivation from latest sources
+  rebuild <name[@v]>                  re-run its derivation on the latest sources, as a task in the thread
   gc                                  detect iterations, collect, sweep store
   attime <stamp>                      random access by time (hour buckets)
   stats                               session counters and histograms (obs registry)
@@ -61,6 +61,7 @@ type shell struct {
 	sys     *core.System
 	current *activity.Thread
 	out     *bufio.Writer
+	lost    error // the failed load or recover that closed a logged sys
 }
 
 // Durability flags: a non-empty -wal-dir makes every shell session
@@ -159,6 +160,9 @@ func main() {
 }
 
 func (sh *shell) dispatch(args []string) error {
+	if sh.lost != nil && args[0] != "help" && args[0] != "load" && args[0] != "recover" {
+		return fmt.Errorf("no session: %w; load or recover one", sh.lost)
+	}
 	switch args[0] {
 	case "help":
 		fmt.Fprintln(sh.out, helpText)
@@ -250,6 +254,9 @@ func (sh *shell) dispatch(args []string) error {
 		}
 		fmt.Fprintf(sh.out, "%s out of date: %v\n", ref, stale)
 	case "rebuild":
+		if err := sh.needThread(); err != nil {
+			return err
+		}
 		if len(args) != 2 {
 			return fmt.Errorf("usage: rebuild <name[@v]>")
 		}
@@ -257,7 +264,7 @@ func (sh *shell) dispatch(args []string) error {
 		if err != nil {
 			return err
 		}
-		fresh, err := sh.sys.Rebuild(ref)
+		fresh, err := sh.sys.Rebuild(sh.current, ref)
 		if err != nil {
 			return err
 		}
@@ -329,15 +336,20 @@ func (sh *shell) dispatch(args []string) error {
 			snapDir = args[1]
 		}
 		// Release the current session's log before the recovered session
-		// reopens the same directory.
-		if err := sh.sys.Close(); err != nil {
-			return err
+		// reopens the same directory; if recovery then fails, it is lost.
+		if sh.sys.WAL != nil {
+			if err := sh.sys.Close(); err != nil {
+				return err
+			}
 		}
 		sys, stats, err := core.Recover(shellConfig(), snapDir)
 		if err != nil {
+			if sh.sys.WAL != nil {
+				sh.lost = fmt.Errorf("%s failed: %w", strings.Join(args, " "), err)
+			}
 			return err
 		}
-		sh.sys, sh.current = sys, nil
+		sh.sys, sh.current, sh.lost = sys, nil, nil
 		if ts := sys.Activity.Threads(); len(ts) > 0 {
 			sh.current = ts[0]
 		}

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -370,5 +372,55 @@ func TestUsageFlagOrder(t *testing.T) {
 			t.Errorf("flag -%s printed out of order", name)
 		}
 		last = i
+	}
+}
+
+// TestShellFailedLoadWithLog: with a log armed, a failed load has already
+// closed the session, so every later session command fails naming that
+// load until a recover succeeds.
+func TestShellFailedLoadWithLog(t *testing.T) {
+	oldDir, oldEvery := *walDir, *fsyncEvery
+	*walDir, *fsyncEvery = t.TempDir(), 1
+	defer func() { *walDir, *fsyncEvery = oldDir, oldEvery }()
+
+	sys, err := core.New(shellConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	sh := &shell{sys: sys, out: bufio.NewWriter(&buf)}
+	run(t, sh, &buf, "import /s shifter 3")
+	run(t, sh, &buf, "thread demo")
+	bad := t.TempDir()
+	if err := os.WriteFile(filepath.Join(bad, "session.json"), []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runErr(t, sh, "load "+bad)
+	for _, line := range []string{"invoke create-logic-description Spec=/s Outlogic=l", "objects", "save " + t.TempDir()} {
+		if err := runErr(t, sh, line); !strings.Contains(err.Error(), "load "+bad+" failed") {
+			t.Errorf("%s after a failed load: %v", line, err)
+		}
+	}
+	run(t, sh, &buf, "help")
+	out := run(t, sh, &buf, "recover")
+	if !strings.Contains(out, "session loaded (1 threads)") {
+		t.Errorf("recover: %q", out)
+	}
+	run(t, sh, &buf, "invoke create-logic-description Spec=/s Outlogic=l")
+	if err := sh.sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShellFailedLoadWithoutLog: without a log nothing was closed, so a
+// failed load leaves the prior session usable.
+func TestShellFailedLoadWithoutLog(t *testing.T) {
+	sh, buf := newTestShell(t)
+	run(t, sh, buf, "import /s shifter 3")
+	run(t, sh, buf, "thread demo")
+	runErr(t, sh, "load /nonexistent-dir-xyz")
+	out := run(t, sh, buf, "invoke create-logic-description Spec=/s Outlogic=l")
+	if !strings.Contains(out, "Format_Transformation") {
+		t.Errorf("invoke after a failed load: %q", out)
 	}
 }

@@ -55,7 +55,7 @@ func main() {
 	must(err)
 	fmt.Printf("after editing /spec: %s out of date? %v\n", target, stale)
 
-	fresh, err := sys.Rebuild(target)
+	fresh, err := sys.Rebuild(th, target)
 	must(err)
 	fmt.Printf("rebuilt: %s -> %s (old version untouched — single assignment)\n", target, fresh)
 	obj, err := sys.Store.Get(fresh)

@@ -128,7 +128,7 @@ func TestDissertationWalkthrough(t *testing.T) {
 	if !stale {
 		t.Error("padded ALU not reported stale after spec edit")
 	}
-	fresh, err := sys.Rebuild(padded)
+	fresh, err := sys.Rebuild(alu, padded)
 	must(err)
 	if fresh.Version <= padded.Version {
 		t.Errorf("rebuild version %d not newer than %d", fresh.Version, padded.Version)

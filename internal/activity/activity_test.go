@@ -119,6 +119,20 @@ func TestPlainNameResolvesInScopeOnly(t *testing.T) {
 	if _, err := th.ResolveInput("outside@99"); err == nil {
 		t.Error("nonexistent explicit version accepted")
 	}
+	// A path name takes an explicit version too: the older one, not the
+	// latest the bare path resolves to.
+	e.seed(t, "/lib/outside", oct.TypeBehavioral, oct.Text(logic.ShifterBehavior(3)))
+	for name, want := range map[string]oct.Ref{
+		"/lib/outside":   {Name: "/lib/outside", Version: 2},
+		"/lib/outside@1": {Name: "/lib/outside", Version: 1},
+	} {
+		if got, err := th.ResolveInput(name); err != nil || got != want {
+			t.Errorf("ResolveInput(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := th.ResolveInput("/lib/outside@9"); err == nil {
+		t.Error("nonexistent explicit version of a path name accepted")
+	}
 }
 
 func TestPlainNameResolvesLatestInScope(t *testing.T) {

@@ -170,23 +170,24 @@ func (t *Thread) Workspace() map[oct.Ref]bool {
 // (§5.2). Three forms are accepted:
 //
 //   - a hierarchical path name ("/user/chiueh/Multiplier"): the object is
-//     referenced from outside the workspace (implicit check-in);
-//   - name@version ("ALU.logic@1"): explicit version, bypassing scope
-//     resolution;
+//     referenced from outside the workspace (implicit check-in), at its
+//     latest visible version;
+//   - name@version ("ALU.logic@1", "/user/chiueh/Multiplier@2"):
+//     explicit version, bypassing scope resolution;
 //   - a plain name ("ALU.logic"): the most recent version of the object
 //     in the current data scope.
 func (t *Thread) ResolveInput(name string) (oct.Ref, error) {
 	t.touch()
-	if strings.HasPrefix(name, "/") {
-		obj, err := t.mgr.store.Peek(oct.Ref{Name: name})
+	ref, err := oct.ParseRef(name)
+	if err != nil {
+		return oct.Ref{}, err
+	}
+	if ref.Version == 0 && strings.HasPrefix(name, "/") {
+		obj, err := t.mgr.store.Peek(ref)
 		if err != nil {
 			return oct.Ref{}, fmt.Errorf("activity: external object %q: %v", name, err)
 		}
 		return oct.Ref{Name: obj.Name, Version: obj.Version}, nil
-	}
-	ref, err := oct.ParseRef(name)
-	if err != nil {
-		return oct.Ref{}, err
 	}
 	if ref.Version != 0 {
 		if _, err := t.mgr.store.Peek(ref); err != nil {

@@ -6,9 +6,8 @@
 // that aspect lives in the operation-oriented control streams (Fig 6.1,
 // package history).
 //
-// The metadata inference engine (package infer) consumes the ADG; the
-// derivation-history queries also power Make-style rebuild recipes, as in
-// VOV's retracing (§2.2.2), which the baseline package reuses.
+// The metadata inference engine (package infer) consumes the ADG, and
+// package rebuild writes a Derivation as a task (§1.4's Make recipe).
 package adg
 
 import (

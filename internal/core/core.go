@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -180,7 +181,7 @@ func New(cfg Config) (*System, error) {
 		Suite:          s.Suite,
 		Store:          s.Store,
 		Cluster:        cluster,
-		Templates:      templates.Source(cfg.ExtraTemplates),
+		Templates:      s.templateSource(),
 		AttrDB:         s.Attrs,
 		MaxRestarts:    cfg.MaxRestarts,
 		ReMigrateEvery: cfg.ReMigrateEvery,
@@ -298,10 +299,8 @@ func (s *System) Features() baseline.Features {
 // newer versions than its recorded derivation used (§1.4's Make-style
 // dependency knowledge, computed from the inferred ADG).
 func (s *System) OutOfDate(target oct.Ref) (bool, error) {
-	if s.Inference == nil {
-		return false, fmt.Errorf("core: rebuild support requires the inference engine")
-	}
-	return rebuild.New(s.Suite, s.Store, s.Inference.Graph()).OutOfDate(target)
+	res, err := s.InferenceQuery("outofdate", target)
+	return res.OutOfDate, err
 }
 
 // InferenceResult is one InferenceQuery answer; the field matching the
@@ -347,7 +346,7 @@ func (s *System) InferenceQuery(op string, ref oct.Ref) (InferenceResult, error)
 	case "relationships":
 		res.Relationships = s.Inference.Relationships(ref)
 	case "outofdate":
-		stale, err := rebuild.New(s.Suite, s.Store, s.Inference.Graph()).OutOfDate(ref)
+		stale, err := rebuild.OutOfDate(s.Inference.Graph(), s.Store, ref)
 		if err != nil {
 			return res, err
 		}
@@ -358,17 +357,57 @@ func (s *System) InferenceQuery(op string, ref oct.Ref) (InferenceResult, error)
 	return res, nil
 }
 
-// Rebuild replays a derived object's recorded derivation history against
-// the latest source versions, producing a new version of the target.
-func (s *System) Rebuild(target oct.Ref) (oct.Ref, error) {
-	if s.Inference == nil {
-		return oct.Ref{}, fmt.Errorf("core: rebuild support requires the inference engine")
+// Rebuild runs target's recorded derivation as the task
+// rebuild.Prefix+target in thread t, each source bound to the version
+// OutOfDate compares against, and returns the new version of target.
+func (s *System) Rebuild(t *activity.Thread, target oct.Ref) (oct.Ref, error) {
+	name := rebuild.Prefix + target.String()
+	sources, outputs, err := s.Tasks.TemplateIO(name)
+	if err != nil {
+		return oct.Ref{}, err
 	}
-	ref, err := rebuild.New(s.Suite, s.Store, s.Inference.Graph()).Rebuild(target)
-	if cerr := s.Store.WAL().Commit(); err == nil {
-		err = cerr
+	ins, outs := map[string]string{}, map[string]string{}
+	for _, src := range sources {
+		ins[src] = oct.Ref{Name: src, Version: s.Store.LatestVersion(src)}.String()
 	}
-	return ref, err
+	for _, out := range outputs {
+		outs[out] = out
+	}
+	rec, err := s.Activity.InvokeTask(t, name, ins, outs)
+	if err != nil {
+		return oct.Ref{}, err
+	}
+	if rec != nil { // nil when the task name is filtered (§5.4)
+		for _, out := range rec.Outputs {
+			if out.Name == target.Name {
+				return out, nil
+			}
+		}
+	}
+	return oct.Ref{}, fmt.Errorf("core: rebuild of %s recorded no new version of it", target)
+}
+
+// templateSource resolves task names for every task manager of s: a
+// rebuild task from the ADG, under infMu, so it depends only on its name
+// and the history; any other name from ExtraTemplates or the shipped set.
+func (s *System) templateSource() func(string) (string, error) {
+	shipped := templates.Source(s.cfg.ExtraTemplates)
+	return func(name string) (string, error) {
+		target, ok := strings.CutPrefix(name, rebuild.Prefix)
+		if !ok {
+			return shipped(name)
+		}
+		if s.Inference == nil {
+			return "", fmt.Errorf("core: rebuild support requires the inference engine")
+		}
+		ref, err := oct.ParseRef(target)
+		if err != nil {
+			return "", err
+		}
+		s.infMu.Lock()
+		defer s.infMu.Unlock()
+		return rebuild.Template(s.Inference.Graph(), ref)
+	}
 }
 
 // TableI regenerates the dissertation's Table I: the literature rows plus

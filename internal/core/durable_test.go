@@ -10,6 +10,7 @@ import (
 
 	"papyrus/internal/cad/logic"
 	"papyrus/internal/oct"
+	"papyrus/internal/wal"
 )
 
 // durableWorkload drives a small design session: two task invocations in
@@ -530,4 +531,114 @@ func TestRecoverRules(t *testing.T) {
 	if _, _, err := Recover(logOnly, snap); err == nil || !strings.Contains(err.Error(), "never checkpointed") {
 		t.Errorf("foreign log: Recover error %v, want never checkpointed", err)
 	}
+}
+
+// TestRecoveryMatrixRebuild is the rebuild dimension of the crash-recovery
+// matrix. A durable run derives sh.pla, edits its source and rebuilds it;
+// the System is abandoned without Close. The log is cut at every record
+// boundary, and each cut must recover a prefix of the run: no version
+// and no history record the run did not have. The full log must recover
+// the run's state, the rebuilt version's derivation, and a rebuild record
+// that replays.
+func TestRecoveryMatrixRebuild(t *testing.T) {
+	walDir := t.TempDir()
+	s := newSystem(t, Config{Nodes: 2, Durability: &DurabilityConfig{Dir: walDir, FsyncEvery: 1, SegmentBytes: 1 << 30}})
+	defer s.Close()
+	spec := func() {
+		if _, err := s.ImportObject("/spec", oct.TypeBehavioral, oct.Text(logic.ShifterBehavior(3))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec()
+	th := s.NewThread("Shifter", "chiueh")
+	if _, err := s.Invoke(th, "create-logic-description",
+		map[string]string{"Spec": "/spec"}, map[string]string{"Outlogic": "sh.logic"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Invoke(th, "PLA-generation",
+		map[string]string{"Inlogic": "sh.logic"}, map[string]string{"Outcell": "sh.pla"}); err != nil {
+		t.Fatal(err)
+	}
+	spec()
+	fresh, err := s.Rebuild(th, oct.Ref{Name: "sh.pla", Version: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := stateText(t, s)
+	// A cut inside a task still shows its intermediates visible: the task
+	// hides them at commit. So a prefix is held to each version's content,
+	// not to its visibility.
+	contentLines := func(s *System) []string {
+		lines := strings.Split(s.Store.VersionMapText(), "\n")
+		for i, line := range lines {
+			lines[i] = strings.Replace(strings.Replace(line, " visible=false", "", 1), " visible=true", "", 1)
+		}
+		return lines
+	}
+	full := map[string]bool{}
+	for _, line := range contentLines(s) {
+		full[line] = true
+	}
+	records := map[int]string{}
+	for _, rec := range th.Stream().Records() {
+		records[rec.ID] = rec.TaskName
+	}
+	names, err := filepath.Glob(filepath.Join(walDir, "wal-*.log"))
+	if err != nil || len(names) != 1 {
+		t.Fatalf("segments %v (%v), want 1", names, err)
+	}
+	data, err := os.ReadFile(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ends, valid := wal.Scan(data)
+	if valid != len(data) || len(ends) == 0 {
+		t.Fatalf("uninterrupted log invalid: %d records, %d/%d bytes valid", len(ends), valid, len(data))
+	}
+
+	for _, cut := range ends {
+		dir := filepath.Join(t.TempDir(), "wal")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "wal-00000001.log"), data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, _, err := Recover(Config{Nodes: 2, Durability: &DurabilityConfig{Dir: dir, FsyncEvery: 1}}, "")
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		for _, line := range contentLines(r) {
+			if !full[line] && !strings.HasPrefix(line, "total ") {
+				t.Errorf("cut %d: phantom version map line %q", cut, line)
+			}
+		}
+		for _, rt := range r.Activity.Threads() {
+			for _, rec := range rt.Stream().Records() {
+				if records[rec.ID] != rec.TaskName {
+					t.Errorf("cut %d: phantom record %d %q", cut, rec.ID, rec.TaskName)
+				}
+			}
+		}
+		if cut == len(data) {
+			if got := stateText(t, r); got != want {
+				t.Errorf("full log recovers a different state:\n--- want ---\n%s--- got ---\n%s", want, got)
+			}
+			if _, ok := r.Inference.Graph().Producer(fresh); !ok {
+				t.Errorf("recovered ADG has no producer of %v", fresh)
+			}
+			rt := r.Activity.Threads()[0]
+			redo, err := r.Activity.ReplayRecord(rt, rt.Cursor())
+			if err != nil {
+				t.Fatalf("replaying the recovered rebuild record: %v", err)
+			}
+			if len(redo.Outputs) != 2 || redo.Outputs[1].Name != "sh.pla" {
+				t.Errorf("replayed rebuild outputs %v", redo.Outputs)
+			}
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("recovered %d cuts (%d bytes)", len(ends), len(data))
 }

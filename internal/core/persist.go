@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 
 	"papyrus/internal/history"
+	"papyrus/internal/wal"
 )
 
 // Session persistence: the dissertation keeps design data and the history
@@ -108,7 +109,7 @@ func writeSnapshot(dir string, data []byte) error {
 	err := os.WriteFile(tmp, data, 0o644)
 	saveStep("write")
 	if err == nil {
-		err = fsync(tmp)
+		err = wal.Fsync(tmp)
 	}
 	saveStep("sync")
 	if err == nil {
@@ -116,23 +117,9 @@ func writeSnapshot(dir string, data []byte) error {
 	}
 	saveStep("rename")
 	if err == nil {
-		err = fsync(dir)
+		err = wal.Fsync(dir)
 	}
 	saveStep("dirsync")
-	return err
-}
-
-// fsync flushes a file, or a directory to make renames in it durable.
-// An fsync through any descriptor covers every write to the file.
-func fsync(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	err = f.Sync()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
 	return err
 }
 

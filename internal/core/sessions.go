@@ -30,7 +30,6 @@ import (
 	"papyrus/internal/obs"
 	"papyrus/internal/sprite"
 	"papyrus/internal/task"
-	"papyrus/internal/templates"
 )
 
 // SessionSpec describes one independent design session.
@@ -250,7 +249,7 @@ func (sys *System) newSession(index int, spec SessionSpec) (*Session, error) {
 		Suite:          sys.Suite,
 		Store:          sys.Store,
 		Cluster:        cluster,
-		Templates:      templates.Source(sys.cfg.ExtraTemplates),
+		Templates:      sys.templateSource(),
 		AttrDB:         sys.Attrs,
 		MaxRestarts:    sys.cfg.MaxRestarts,
 		ReMigrateEvery: sys.cfg.ReMigrateEvery,

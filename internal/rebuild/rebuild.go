@@ -1,135 +1,115 @@
-// Package rebuild implements derivation-history-driven reconstruction —
-// the capability the dissertation motivates in §1.4: "the UNIX Make
-// facility requires the knowledge of the detailed tool execution sequence
+// Package rebuild turns derivation history into reconstruction. §1.4:
+// Make "requires the knowledge of the detailed tool execution sequence
 // that are involved in creating an object, i.e., its derivation history,
 // to reconstruct the design object when one or more of its dependent
-// objects are modified." Papyrus records that history automatically; this
-// package replays it.
-//
-// Unlike the VOV baseline's retracing (which regenerates everything
-// downstream of a modification), Rebuild is demand-driven: it regenerates
-// exactly one target from the latest versions of its sources, and
-// OutOfDate reports whether that is necessary at all.
+// objects are modified." Template writes one target's recorded derivation
+// as a TDL task, so a rebuild is a design step like any other, and
+// OutOfDate says whether one is due. Unlike the VOV baseline's retracing,
+// a rebuild regenerates one target, not everything downstream of an edit.
 package rebuild
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"papyrus/internal/adg"
-	"papyrus/internal/cad"
+	"papyrus/internal/memo"
 	"papyrus/internal/oct"
+	"papyrus/internal/tcl"
+	"papyrus/internal/tdl"
 )
 
-// Builder replays derivation recipes against an object store.
-type Builder struct {
-	suite *cad.Suite
-	store *oct.Store
-	graph *adg.Graph
+// Prefix starts the name of every generated task: the task that rebuilds
+// target is named Prefix + target.String().
+const Prefix = "rebuild "
+
+// Template writes target's derivation in g as the task Prefix+target, one
+// step per op with the op's recorded tool and options. Its formal inputs
+// are the derivation's sources; its formal outputs are the target and
+// each op output that is the derivation's newest version of its name and
+// no task intermediate (no '#'). Both are named after their objects, so a
+// source that is also an output is declared twice, which the template
+// parser rejects. Every other output is an intermediate, hidden at commit
+// (§4.3.5), whose formal drops the instance suffix so the step keys the
+// memo cache like the one it repeats. The text depends only on target
+// and g.
+func Template(g *adg.Graph, target oct.Ref) (string, error) {
+	ops, err := g.Derivation(target)
+	if err != nil {
+		return "", err
+	}
+	if len(ops) == 0 {
+		return "", fmt.Errorf("rebuild: %s has no recorded derivation", target)
+	}
+	formal := map[oct.Ref]string{} // sources under their version-0 ref
+	used := map[string]bool{}
+	newest := map[string]int{}
+	var ins, outs []string
+	for _, op := range ops {
+		for _, in := range op.Inputs {
+			if _, produced := g.Producer(in); !produced && !used[in.Name] {
+				used[in.Name], formal[oct.Ref{Name: in.Name}] = true, in.Name
+				ins = append(ins, in.Name)
+			}
+		}
+		for _, out := range op.Outputs {
+			newest[out.Name] = max(newest[out.Name], out.Version)
+		}
+	}
+	for _, op := range ops {
+		for _, out := range op.Outputs {
+			if out == target || (!strings.Contains(out.Name, "#") && out.Version == newest[out.Name]) {
+				used[out.Name], formal[out] = true, out.Name
+				outs = append(outs, out.Name)
+			}
+		}
+	}
+	lines := []string{tcl.FormatList([]string{"task", Prefix + target.String(), tcl.FormatList(ins), tcl.FormatList(outs)})}
+	for _, op := range ops {
+		var io []string
+		for _, in := range op.Inputs {
+			if _, produced := g.Producer(in); !produced {
+				in = oct.Ref{Name: in.Name}
+			}
+			io = append(io, formal[in])
+		}
+		for _, out := range op.Outputs {
+			if formal[out] == "" {
+				f := memo.NormalizeName(out.Name)
+				for n := 2; used[f]; n++ {
+					f = memo.NormalizeName(out.Name) + "." + strconv.Itoa(n)
+				}
+				used[f], formal[out] = true, f
+			}
+			io = append(io, formal[out])
+		}
+		invocation := append([]string{op.Tool}, op.Options...)
+		if tool, options, _ := tdl.SplitInvocation(invocation, io); tool != op.Tool || !slices.Equal(options, op.Options) {
+			return "", fmt.Errorf("rebuild: step %s: options %q do not survive as TDL", op.Step, op.Options)
+		}
+		lines = append(lines, tcl.FormatList([]string{"step", tcl.FormatList([]string{op.Step}),
+			tcl.FormatList(io[:len(op.Inputs)]), tcl.FormatList(io[len(op.Inputs):]), tcl.FormatList(invocation)}))
+	}
+	return strings.Join(lines, "\n") + "\n", nil
 }
 
-// New returns a Builder over the given derivation graph.
-func New(suite *cad.Suite, store *oct.Store, graph *adg.Graph) *Builder {
-	return &Builder{suite: suite, store: store, graph: graph}
-}
-
-// OutOfDate reports whether any transitive source of the target has a
-// newer visible version in the store than the one its derivation used.
-func (b *Builder) OutOfDate(target oct.Ref) (bool, error) {
-	ops, err := b.graph.Derivation(target)
+// OutOfDate reports whether any source of target's derivation in g has a
+// newer live version in store than the one the derivation used. Rebuilds
+// bind each source to that version (Store.LatestVersion), so a rebuilt
+// object is not out of date until a source changes again.
+func OutOfDate(g *adg.Graph, store *oct.Store, target oct.Ref) (bool, error) {
+	ops, err := g.Derivation(target)
 	if err != nil {
 		return false, err
 	}
 	for _, op := range ops {
 		for _, in := range op.Inputs {
-			if _, produced := b.graph.Producer(in); produced {
-				continue // derived internally; covered by its own op
-			}
-			latest := b.store.LatestVersion(in.Name)
-			if latest > in.Version {
+			if _, produced := g.Producer(in); !produced && store.LatestVersion(in.Name) > in.Version {
 				return true, nil
 			}
 		}
 	}
 	return false, nil
-}
-
-// Rebuild replays the target's derivation history against the latest
-// version of every source object, creating new versions of each derived
-// object (single-assignment: nothing is updated in place). It returns the
-// ref of the regenerated target.
-func (b *Builder) Rebuild(target oct.Ref) (oct.Ref, error) {
-	ops, err := b.graph.Derivation(target)
-	if err != nil {
-		return oct.Ref{}, err
-	}
-	if len(ops) == 0 {
-		return oct.Ref{}, fmt.Errorf("rebuild: %s has no recorded derivation", target)
-	}
-	// current maps an object name to the version this rebuild should use:
-	// regenerated versions shadow stored ones; sources resolve to their
-	// latest visible version.
-	current := map[string]oct.Ref{}
-	resolve := func(in oct.Ref) (oct.Ref, error) {
-		if ref, ok := current[in.Name]; ok {
-			return ref, nil
-		}
-		obj, err := b.store.Peek(oct.Ref{Name: in.Name})
-		if err != nil {
-			// The exact recorded version may still exist even if no
-			// visible latest does.
-			if _, err2 := b.store.Peek(in); err2 == nil {
-				return in, nil
-			}
-			return oct.Ref{}, fmt.Errorf("rebuild: source %s unavailable: %v", in.Name, err)
-		}
-		return oct.Ref{Name: obj.Name, Version: obj.Version}, nil
-	}
-
-	var targetRef oct.Ref
-	for _, op := range ops {
-		tool, ok := b.suite.Tool(op.Tool)
-		if !ok {
-			return oct.Ref{}, fmt.Errorf("rebuild: tool %q no longer in the suite", op.Tool)
-		}
-		ctx := &cad.Ctx{
-			Txn:     b.store.Begin(),
-			Tool:    op.Tool,
-			Options: op.Options,
-		}
-		for _, in := range op.Inputs {
-			ref, err := resolve(in)
-			if err != nil {
-				ctx.Txn.Abort()
-				return oct.Ref{}, err
-			}
-			obj, err := b.store.Get(ref)
-			if err != nil {
-				ctx.Txn.Abort()
-				return oct.Ref{}, err
-			}
-			ctx.Inputs = append(ctx.Inputs, obj)
-		}
-		for _, out := range op.Outputs {
-			ctx.OutputNames = append(ctx.OutputNames, out.Name)
-		}
-		if err := tool.Run(ctx); err != nil {
-			ctx.Txn.Abort()
-			return oct.Ref{}, fmt.Errorf("rebuild: re-running %s: %v", op.Tool, err)
-		}
-		objs, err := ctx.Txn.Commit()
-		if err != nil {
-			return oct.Ref{}, err
-		}
-		for _, obj := range objs {
-			ref := oct.Ref{Name: obj.Name, Version: obj.Version}
-			current[obj.Name] = ref
-			if obj.Name == target.Name {
-				targetRef = ref
-			}
-		}
-	}
-	if targetRef.Name == "" {
-		return oct.Ref{}, fmt.Errorf("rebuild: derivation replay did not regenerate %s", target.Name)
-	}
-	return targetRef, nil
 }

@@ -535,8 +535,9 @@ func (l *Log) Checkpoint(payload []byte) error {
 }
 
 // Prune deletes, oldest first, every segment older than the last
-// Checkpoint's; call it once that checkpoint's snapshot is durable. A
-// no-op on a nil Log and before any Checkpoint.
+// Checkpoint's, then fsyncs the directory so the removals survive a power
+// loss; call it once that checkpoint's snapshot is durable. A no-op on a
+// nil Log; before any Checkpoint it deletes nothing.
 func (l *Log) Prune() error {
 	if l == nil {
 		return nil
@@ -554,7 +555,21 @@ func (l *Log) Prune() error {
 			}
 		}
 	}
-	return nil
+	return Fsync(l.opts.Dir)
+}
+
+// Fsync flushes a file, or a directory to make the renames and removals
+// in it durable. An fsync through any descriptor covers every write.
+func Fsync(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Close fsyncs and closes the log. Further appends fail.
