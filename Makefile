@@ -13,13 +13,14 @@ ratchet:
 	./scripts/ratchet.sh reclaim
 	./scripts/ratchet.sh counts
 
-# Local profiling bundle in perf/: pprof CPU + heap profiles and the
-# E11 scale table, the hot-path microbenchmarks, and perfbench's
-# per-step counts on redo. Inspect with `go tool pprof perf/cpu.pprof`.
+# Local profiling bundle in perf/: pprof CPU + heap profiles of the
+# E11/E13/E15 wall-clock tests (the line CI's bench-smoke job runs), the
+# hot-path microbenchmarks, and perfbench's per-step counts on redo.
+# Inspect with `go tool pprof perf/oracle.test perf/cpu.pprof`.
 profile:
 	mkdir -p perf
-	go run ./cmd/benchtool -exp scale -scalesessions 16 -scaleworkers 1,4,8 \
-		-cpuprofile perf/cpu.pprof -memprofile perf/mem.pprof -out perf
+	go test -count=1 -v -run '^(TestScaleOverlap|TestServeLoad|TestWorkloadFloor)$$' \
+		-cpuprofile perf/cpu.pprof -memprofile perf/mem.pprof -o perf/oracle.test ./internal/oracle
 	go test -run - -bench . -benchmem . ./internal/oct ./internal/memo ./internal/wal \
 		| tee perf/microbench.txt
 	bash perfbench/run.sh --workload redo --seed 1 --seconds 5 --trace 1

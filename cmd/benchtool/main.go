@@ -3,17 +3,14 @@
 // execution time is the simulated cluster's virtual clock, so the tables
 // reproduce bit-for-bit across runs and machines.
 //
-// Usage: benchtool [-exp all|speedup|remigration|scopecache|storage|rework|viewport|inference|abort|rebuild|faults|scale|replay|serve|workload|reclaim]
+// Usage: benchtool [-exp all|speedup|remigration|scopecache|storage|rework|viewport|inference|abort|rebuild|faults|replay|reclaim]
 //
-// The scale (E11), serve (E13), workload (E15) and reclaim (E17)
-// experiments are the exceptions to pure virtual-time measurement: scale
-// reports wall-clock throughput of the concurrent engine (steps/sec vs
-// worker count at N sessions), serve reports wire latency and throughput
-// of the papyrusd front-end under concurrent designer sessions, workload
-// drives every generated scenario profile through both paths, and
-// reclaim soaks a deep rework history under background sweeps, so none
-// is part of -exp all. Their correctness columns — the stats and version-map
-// fingerprints — are still bit-reproducible.
+// E17 (reclaim) holds the one wall-clock column left: it soaks a deep
+// rework history under background sweeps and reports how long the soak
+// took, so it is not part of -exp all. Its ratios and fingerprints are
+// still bit-reproducible. The wall-clock experiments E11, E13 and E15 are
+// internal/oracle tests (TestScaleOverlap, TestServeLoad,
+// TestWorkloadFloor).
 package main
 
 import (
@@ -27,7 +24,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"papyrus/internal/activity"
 	"papyrus/internal/attr"
@@ -121,9 +117,8 @@ func measureVT(name string, now int64) int64 {
 	return now
 }
 
-// experiments is the -exp table, in -h order. inAll marks the
-// virtual-time experiments -exp all runs; the wall-clock ones (scale,
-// serve, workload, reclaim) run only by name.
+// experiments is the -exp table. inAll marks the virtual-time
+// experiments -exp all runs; reclaim runs only by name.
 var experiments = []struct {
 	name  string
 	run   func()
@@ -139,68 +134,14 @@ var experiments = []struct {
 	{"abort", expAbort, true},
 	{"rebuild", expRebuild, true},
 	{"faults", expFaults, true},
-	{"scale", expScale, false},
 	{"replay", expReplay, true},
-	{"serve", expServe, false},
-	{"workload", expWorkload, false},
 	{"reclaim", expReclaim, false},
-}
-
-// flagOrder is the order -h prints flags in: general switches first, then
-// one block per experiment that takes flags (scale/E11, replay/E12,
-// serve/E13). The stock alphabetical listing interleaved the blocks and
-// stranded -memo between the replay switches.
-var flagOrder = []string{
-	"exp", "out", "stats", "trace", "faults",
-	"cpuprofile", "memprofile", "summary",
-	"scalesessions", "scaleworkers", "scalelatency", "scalemin",
-	"scaleregress", "scalewal", "scalefsync", "memo",
-	"replayworkers",
-	"servesessions", "serveshards", "serveworkers", "servetenants",
-	"serverate", "serveburst", "servequeue", "servemin", "servep99",
-	"seed", "sessions", "fanout",
-	"wlprofiles", "wldepth", "wlworkers", "wlmin",
-	"rcdepth", "rcworkers", "rcsweep", "rcbudget",
-}
-
-// usage replaces the default flag.Usage: same per-flag format, but in
-// flagOrder instead of alphabetically. Flags missing from flagOrder are
-// appended at the end so nothing ever drops out of -h.
-func usage() {
-	w := flag.CommandLine.Output()
-	names := []string{"all"}
-	for _, e := range experiments {
-		names = append(names, e.name)
-	}
-	fmt.Fprintf(w, "usage: benchtool [-exp %s] [flags]\n", strings.Join(names, "|"))
-	fmt.Fprintln(w, "\nflags:")
-	seen := make(map[string]bool, len(flagOrder))
-	order := flagOrder
-	for _, n := range order {
-		seen[n] = true
-	}
-	flag.VisitAll(func(f *flag.Flag) {
-		if !seen[f.Name] {
-			order = append(order, f.Name)
-		}
-	})
-	for _, name := range order {
-		f := flag.Lookup(name)
-		if f == nil {
-			continue
-		}
-		u := f.Usage
-		if f.DefValue != "" && f.DefValue != "false" && f.DefValue != "0" {
-			u += " (default " + f.DefValue + ")"
-		}
-		fmt.Fprintf(w, "  -%s\n    \t%s\n", f.Name, u)
-	}
 }
 
 // The flags are registered at init, not in main, so tests see the same
 // flag set the binary parses.
 var (
-	exp        = flag.String("exp", "all", "experiment to run")
+	expName    string
 	stats      = flag.Bool("stats", false, "print the aggregated metrics registry after the experiments")
 	tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON file covering all runs")
 	cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
@@ -208,39 +149,22 @@ var (
 )
 
 func init() {
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	flag.StringVar(&expName, "exp", "all", "experiment to run: "+strings.Join(names, "|"))
 	flag.StringVar(&outDir, "out", ".", "directory each experiment writes its BENCH_<exp>.json table to")
 	flag.StringVar(&benchFaults, "faults", "", "extra fault plan for the recovery experiment, e.g. seed=3,crash=2@60-500 (docs/FAULTS.md)")
 	flag.StringVar(&summaryPath, "summary", "", "append markdown result tables to this file (CI: $GITHUB_STEP_SUMMARY)")
-	flag.StringVar(&scaleSessions, "scalesessions", "1,8,64", "comma-separated session counts for -exp scale")
-	flag.StringVar(&scaleWorkers, "scaleworkers", "1,2,4,8", "comma-separated worker counts for -exp scale")
-	flag.DurationVar(&scaleLatency, "scalelatency", 2*time.Millisecond, "injected wall-clock latency per tool body for -exp scale")
-	flag.Float64Var(&scaleMin, "scalemin", 0, "fail (exit 1) if max-worker throughput is below this multiple of the 1-worker run at the largest session count")
-	flag.Float64Var(&scaleRegress, "scaleregress", 0, "fail (exit 1) if any session count's max-worker throughput drops below this multiple of its best lower-worker cell (monotonicity gate)")
-	flag.BoolVar(&scaleWAL, "scalewal", false, "run -exp scale with write-ahead logging enabled (fresh log dir per cell); fingerprints must still match")
-	flag.Int64Var(&scaleFsync, "scalefsync", 1, "group-commit flush interval for -scalewal (<=1 fsyncs once per acknowledged operation)")
-	flag.BoolVar(&scaleMemo, "memo", false, "run -exp scale with the step-result cache enabled (fresh cache per cell); fingerprints must still match")
 	flag.StringVar(&replayWorkers, "replayworkers", "1,8", "comma-separated worker counts for -exp replay")
-	flag.IntVar(&serveSessions, "servesessions", 256, "concurrent designer sessions for -exp serve")
-	flag.IntVar(&serveShards, "serveshards", 4, "engine shards for -exp serve")
-	flag.IntVar(&serveWorkers, "serveworkers", 8, "admission worker pool for -exp serve")
-	flag.IntVar(&serveTenants, "servetenants", 16, "distinct tenants sessions are spread over for -exp serve")
-	flag.Float64Var(&serveRate, "serverate", 0, "per-tenant admission rate limit for -exp serve (0 = unlimited)")
-	flag.Float64Var(&serveBurst, "serveburst", 0, "per-tenant token-bucket burst for -exp serve (0 = max(1, rate))")
-	flag.IntVar(&serveQueue, "servequeue", 1024, "admission queue bound before load shedding for -exp serve")
-	flag.Float64Var(&serveMin, "servemin", 0, "fail (exit 1) if -exp serve sustains fewer steps/sec than this")
-	flag.Float64Var(&serveP99, "servep99", 0, "fail (exit 1) if -exp serve task-submission p99 exceeds this many ms")
-	flag.Int64Var(&cellSpec.Seed, "seed", 7, "workload generator seed for -exp workload and -exp reclaim")
-	flag.IntVar(&cellSpec.Sessions, "sessions", 4, "designer sessions per cell for -exp workload and -exp reclaim")
-	flag.IntVar(&cellSpec.Fanout, "fanout", 4, "fanout knob (burst width, fan arity) for -exp workload and -exp reclaim")
-	flag.StringVar(&wlProfiles, "wlprofiles", "all", "comma-separated workload profiles for -exp workload (all = every profile)")
-	flag.IntVar(&wlDepth, "wldepth", 6, "depth knob (rounds, chain length) for -exp workload")
-	flag.StringVar(&wlWorkers, "wlworkers", "1,4", "comma-separated worker counts for -exp workload (fingerprints must be invariant)")
-	flag.Float64Var(&wlMin, "wlmin", 0, "fail (exit 1) if any profile's best in-process cell is below this many steps/sec")
+	flag.Int64Var(&cellSpec.Seed, "seed", 7, "workload generator seed for -exp reclaim")
+	flag.IntVar(&cellSpec.Sessions, "sessions", 4, "designer sessions per cell for -exp reclaim")
+	flag.IntVar(&cellSpec.Fanout, "fanout", 4, "fanout knob (burst width, fan arity) for -exp reclaim")
 	flag.IntVar(&rcDepth, "rcdepth", 64, "rework depth (rounds = depth/8) for -exp reclaim")
 	flag.IntVar(&rcWorkers, "rcworkers", 4, "worker-pool size for -exp reclaim cells")
 	flag.IntVar(&rcSweep, "rcsweep", 1, "sweep at every Nth round barrier for -exp reclaim")
 	flag.IntVar(&rcBudget, "rcbudget", 0, "index records scanned per sweep slice for -exp reclaim (0 = whole store)")
-	flag.Usage = usage
 }
 
 func main() {
@@ -289,7 +213,7 @@ func main() {
 			must(benchMetrics.WriteText(os.Stdout))
 		}
 	}()
-	if *exp == "all" {
+	if expName == "all" {
 		for _, e := range experiments {
 			if e.inAll {
 				e.run()
@@ -299,12 +223,12 @@ func main() {
 		return
 	}
 	for _, e := range experiments {
-		if e.name == *exp {
+		if e.name == expName {
 			e.run()
 			return
 		}
 	}
-	fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+	fmt.Fprintf(os.Stderr, "unknown experiment %q\n", expName)
 	os.Exit(2)
 }
 
@@ -802,207 +726,6 @@ func expFaults() {
 	}
 }
 
-// --- Experiment: concurrent multi-session scaling (E11) -----------------
-
-var (
-	scaleSessions string
-	scaleWorkers  string
-	scaleLatency  time.Duration
-	scaleMin      float64
-	scaleRegress  float64
-	scaleWAL      bool
-	scaleFsync    int64
-	scaleMemo     bool
-)
-
-// scaleRow is one (sessions, workers) cell of BENCH_scale.json.
-type scaleRow struct {
-	Sessions    int     `json:"sessions"`
-	Workers     int     `json:"workers"`
-	Steps       int64   `json:"steps"`
-	WallMS      float64 `json:"wall_ms"`
-	StepsPerSec float64 `json:"steps_per_sec"`
-	SpeedupVs1  float64 `json:"speedup_vs_1_worker"`
-	// StatsSHA and VersionSHA fingerprint the metrics export and the
-	// final OCT version map; within one session count they must match
-	// across every worker count and across repeated runs.
-	StatsSHA   string `json:"stats_sha256"`
-	VersionSHA string `json:"version_sha256"`
-	// StripeContention is the store's contended-lock count — an
-	// informational, scheduling-dependent probe excluded from the
-	// fingerprints (docs/OBSERVABILITY.md).
-	StripeContention int64 `json:"oct_stripe_contention"`
-}
-
-// runScaleCell executes N independent Fanout4 sessions against one shared
-// store with the given worker count and returns the measured row.
-func runScaleCell(sessions, workers int) scaleRow {
-	reg := obs.NewRegistry()
-	cfg := core.Config{
-		Nodes:            4,
-		Workers:          workers,
-		StepLatency:      scaleLatency,
-		DisableInference: true,
-		Metrics:          reg,
-		ExtraTemplates:   map[string]string{"Fanout4": fanoutTemplate},
-	}
-	if scaleWAL {
-		// A fresh log per cell: the point is the durability overhead and
-		// the invariance of the fingerprints, not the log's content.
-		dir, err := os.MkdirTemp("", "papyrus-scale-wal-")
-		must(err)
-		defer os.RemoveAll(dir)
-		cfg.Durability = &core.DurabilityConfig{Dir: dir, FsyncEvery: scaleFsync}
-	}
-	if scaleMemo {
-		// A fresh cache per cell keeps the workload all-miss: the point is
-		// that keying and populating change no fingerprint, not hit speed.
-		cfg.Memo = memo.NewCache()
-	}
-	sys, err := core.New(cfg)
-	must(err)
-	specs := make([]core.SessionSpec, sessions)
-	for i := range specs {
-		i := i
-		specs[i] = core.SessionSpec{
-			Name: fmt.Sprintf("s%d", i),
-			Run: func(s *core.Session) error {
-				inputs := map[string]oct.Ref{}
-				for _, n := range []string{"A", "B", "C", "D"} {
-					obj, err := sys.Store.Put(fmt.Sprintf("/s%d/%s", s.Index, n),
-						oct.TypeBehavioral, oct.Text(logic.ShifterBehavior(4)), "seed")
-					if err != nil {
-						return err
-					}
-					inputs[n] = oct.Ref{Name: obj.Name, Version: obj.Version}
-				}
-				// Direct store writes acknowledge themselves: one commit
-				// makes the four seed puts durable (a no-op without -scalewal).
-				if err := sys.Store.WAL().Commit(); err != nil {
-					return err
-				}
-				outputs := map[string]string{}
-				for _, o := range []string{"O1", "O2", "O3", "O4"} {
-					outputs[o] = fmt.Sprintf("/s%d/%s", s.Index, strings.ToLower(o))
-				}
-				rec, err := s.Tasks.RunTask(task.Invocation{
-					Task: "Fanout4", Inputs: inputs, Outputs: outputs,
-				})
-				if cerr := sys.Store.WAL().Commit(); err == nil {
-					err = cerr
-				}
-				if err != nil {
-					return err
-				}
-				if len(rec.Steps) != 4 {
-					return fmt.Errorf("session %d: %d steps recorded, want 4", s.Index, len(rec.Steps))
-				}
-				return nil
-			},
-		}
-	}
-	start := time.Now()
-	_, err = sys.RunSessions(specs)
-	wall := time.Since(start)
-	must(err)
-	must(sys.Close())
-
-	steps := reg.Counter("task.step.complete")
-	return scaleRow{
-		Sessions:         sessions,
-		Workers:          workers,
-		Steps:            steps,
-		WallMS:           float64(wall.Microseconds()) / 1000,
-		StepsPerSec:      float64(steps) / wall.Seconds(),
-		StatsSHA:         oracle.Stats(reg),
-		VersionSHA:       oracle.Versions(sys.Store),
-		StripeContention: sys.Store.StripeContention(),
-	}
-}
-
-// expScale is E11: wall-clock throughput of the concurrent engine vs
-// worker count at N independent sessions over one shared striped store.
-// Before measuring, every session count's 1-worker cell is run twice and
-// every other worker count once; all fingerprints within a session count
-// must agree — a violated invariant is a hard failure, not a table row.
-func expScale() {
-	fmt.Println("## E11: multi-session scaling — steps/sec vs workers over the shared striped store")
-	// Wall-clock speedup depends on the host: a latency above zero times
-	// overlapped sleeps (an overlap demonstration), latency 0 the engine
-	// and tool bodies on nproc cores.
-	host := fmt.Sprintf("step latency %v per tool body; nproc %d, GOMAXPROCS %d",
-		scaleLatency, runtime.NumCPU(), runtime.GOMAXPROCS(0))
-	fmt.Printf("(%s; fingerprints must match within each session row)\n", host)
-	if scaleWAL {
-		fmt.Printf("(write-ahead logging ON, fsync-every=%d — fingerprints must match the durability-free contract)\n", scaleFsync)
-	}
-	if scaleMemo {
-		fmt.Println("(step-result cache ON, fresh per cell — filtered fingerprints must match the memo-free contract)")
-	}
-	fmt.Println("sessions | workers | steps | wall ms | steps/sec | speedup | fingerprints")
-	sessionCounts := parseIntList(scaleSessions)
-	workerCounts := parseIntList(scaleWorkers)
-	var rows []scaleRow
-	for _, n := range sessionCounts {
-		// Repeat-run determinism check at 1 worker.
-		warm := runScaleCell(n, 1)
-		base := runScaleCell(n, 1)
-		if warm.StatsSHA != base.StatsSHA || warm.VersionSHA != base.VersionSHA {
-			log.Fatalf("scale: sessions=%d: repeated 1-worker runs disagree (stats %s vs %s, versions %s vs %s)",
-				n, warm.StatsSHA[:12], base.StatsSHA[:12], warm.VersionSHA[:12], base.VersionSHA[:12])
-		}
-		var best scaleRow
-		sessionStart := len(rows)
-		for _, w := range workerCounts {
-			row := base
-			if w != 1 {
-				row = runScaleCell(n, w)
-			}
-			if row.StatsSHA != base.StatsSHA || row.VersionSHA != base.VersionSHA {
-				log.Fatalf("scale: sessions=%d workers=%d: export diverged from 1-worker run (stats %s vs %s, versions %s vs %s)",
-					n, w, row.StatsSHA[:12], base.StatsSHA[:12], row.VersionSHA[:12], base.VersionSHA[:12])
-			}
-			row.SpeedupVs1 = row.StepsPerSec / base.StepsPerSec
-			if w >= best.Workers {
-				best = row
-			}
-			rows = append(rows, row)
-			fmt.Printf("%8d | %7d | %5d | %7.1f | %9.1f | %7.2f | ok (%s/%s)\n",
-				n, w, row.Steps, row.WallMS, row.StepsPerSec, row.SpeedupVs1,
-				row.StatsSHA[:12], row.VersionSHA[:12])
-		}
-		if scaleMin > 0 && n == sessionCounts[len(sessionCounts)-1] && best.SpeedupVs1 < scaleMin {
-			gateFail("scale gate: sessions=%d workers=%d speedup %.2f < required %.2f",
-				n, best.Workers, best.SpeedupVs1, scaleMin)
-		}
-		// Monotonicity gate: adding workers must never cost throughput.
-		// The max-worker cell has to hold scaleRegress x the best
-		// lower-worker cell of the same session count.
-		if scaleRegress > 0 {
-			var lowerBest float64
-			for _, r := range rows[sessionStart:] {
-				if r.Workers < best.Workers && r.StepsPerSec > lowerBest {
-					lowerBest = r.StepsPerSec
-				}
-			}
-			if lowerBest > 0 && best.StepsPerSec < scaleRegress*lowerBest {
-				gateFail("scale regression gate: sessions=%d: workers=%d ran %.1f steps/sec, %.2fx the best lower-worker cell (%.1f) — floor %.2f",
-					n, best.Workers, best.StepsPerSec, best.StepsPerSec/lowerBest, lowerBest, scaleRegress)
-			}
-		}
-	}
-	writeRows("scale", rows)
-	var md strings.Builder
-	fmt.Fprintf(&md, "### E11 scale: steps/sec vs workers\n\n(%s)\n\n", host)
-	md.WriteString("| sessions | workers | steps | steps/sec | speedup vs 1w |\n")
-	md.WriteString("|---:|---:|---:|---:|---:|\n")
-	for _, r := range rows {
-		fmt.Fprintf(&md, "| %d | %d | %d | %.1f | %.2f |\n", r.Sessions, r.Workers, r.Steps, r.StepsPerSec, r.SpeedupVs1)
-	}
-	md.WriteString("\n")
-	appendSummary(md.String())
-}
-
 // --- Experiment: rework replay with memoization (E12) -------------------
 
 var replayWorkers string
@@ -1081,19 +804,12 @@ func runReplayCell(workers int, withMemo bool) replayRow {
 		Memo:        withMemo,
 		FirstTicks:  first,
 		ReplayTicks: replay,
-		Speedup:     float64(first) / float64(max64(1, replay)),
+		Speedup:     float64(first) / float64(max(1, replay)),
 		MemoHits:    reg.Counter("memo.hit"),
 		MemoMisses:  reg.Counter("memo.miss"),
 		StatsSHA:    oracle.Stats(reg),
 		VersionSHA:  oracle.Versions(sys.Store),
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // expReplay is E12: virtual-tick cost of redoing work after a cursor

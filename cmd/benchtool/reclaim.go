@@ -29,7 +29,12 @@ import (
 	"strings"
 
 	"papyrus/internal/oracle"
+	"papyrus/internal/workload"
 )
+
+// cellSpec holds the -seed, -sessions and -fanout flags that E17 fills
+// its cells' workload.Spec from; it sets the profile and depth itself.
+var cellSpec workload.Spec
 
 var (
 	rcDepth   int

@@ -4,9 +4,9 @@
 // ADG queries, memo/stats introspection, and SDS cooperation, plus a
 // resumable notification subscription that decodes the WAL-framed
 // streaming transport and reconnects across mid-stream disconnects. The
-// E13 load generator (benchtool -exp serve) drives hundreds of designer
-// sessions through it; it is also the embedding surface for agentic
-// designer flows that react to notifications over the wire.
+// E13 load test (internal/oracle TestServeLoad) drives hundreds of
+// designer sessions through it; it is also the embedding surface for
+// agentic designer flows that react to notifications over the wire.
 //
 // Throttling: a 429 (admission-control throttle or load shed) carries a
 // Retry-After hint; mutating calls go through Do, which retries up to

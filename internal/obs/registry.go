@@ -16,9 +16,8 @@
 //     parallelism profile opens directly in chrome://tracing or Perfetto.
 //
 // The served front-end (internal/server) records its wire latencies and
-// admission counters here too (server.* namespace), reads tail latencies
-// through HistogramSnapshot.Quantile, and serves the whole snapshot at
-// GET /v1/stats (docs/SERVER.md).
+// admission counters here too (server.* namespace) and serves the whole
+// snapshot at GET /v1/stats (docs/SERVER.md).
 package obs
 
 import (
@@ -182,36 +181,6 @@ type HistogramSnapshot struct {
 	Min     int64    `json:"min"`
 	Max     int64    `json:"max"`
 	Buckets []Bucket `json:"buckets"`
-}
-
-// Quantile returns an upper-bound estimate of the q-quantile (0 < q <= 1)
-// of a histogram snapshot: the upper bound of the first bucket whose
-// cumulative count reaches q of the total, or Max for the overflow bucket
-// and for q beyond the last bucket. Zero when the histogram is empty. The
-// served front-end's latency gates (benchtool -exp serve, E13) read p50
-// and p99 through this.
-func (h HistogramSnapshot) Quantile(q float64) int64 {
-	if h.Count == 0 || q <= 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(q * float64(h.Count))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for _, b := range h.Buckets {
-		cum += b.Count
-		if cum >= rank {
-			if b.Le < 0 || b.Le > h.Max {
-				return h.Max
-			}
-			return b.Le
-		}
-	}
-	return h.Max
 }
 
 // Snapshot is a frozen, export-ready view of a registry.

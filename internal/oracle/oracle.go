@@ -71,16 +71,6 @@ func Visible(s *oct.Store) string {
 	return sum(b.String())
 }
 
-// Sharded fingerprints a multi-shard server's stores as one: each version
-// map in shard order, headed by its index.
-func Sharded(stores ...*oct.Store) string {
-	var b strings.Builder
-	for i, s := range stores {
-		fmt.Fprintf(&b, "shard %d\n%s", i, s.VersionMapText())
-	}
-	return sum(b.String())
-}
-
 // Fingerprint is one cell's deterministic outcome.
 type Fingerprint struct{ Stats, Versions, Visible string }
 
