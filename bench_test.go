@@ -217,8 +217,8 @@ func BenchmarkParallelismExtraction(b *testing.B) {
 }
 
 // BenchmarkBatchPipeline runs the phased batch schedule end to end —
-// prepare, tool bodies on the run-scoped worker pool, stripe-disjoint
-// commit waves, sequential apply — over a wide fan-out template. The
+// prepare, tool bodies on the run-scoped worker pool, sequential apply
+// with its commits — over a wide fan-out template. The
 // worker count changes only phase overlap (the byte-identical-exports
 // guarantee), so the deltas here are pure scheduling and allocation
 // cost: the perf campaign's task-layer hot path (docs/PERFORMANCE.md).

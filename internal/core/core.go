@@ -55,17 +55,16 @@ type Config struct {
 	ExtraTemplates map[string]string
 	// ReclaimGrace is the invisibility age before physical reclamation.
 	ReclaimGrace int64
-	// MaxRestarts bounds programmable-abort restarts (default 3).
-	MaxRestarts int
 	// DisableInference skips metadata inference (for A/B experiments).
 	DisableInference bool
 	// StoreStripes overrides the object store's lock-stripe count
-	// (rounded up to a power of two); 0 selects the oct default. The
-	// striped-apply invariance matrix runs 1 vs 64 to prove the stripe
-	// count is unobservable in stats, traces, and version maps.
+	// (rounded up to a power of two); 0 selects the oct default. A
+	// commit locks only the stripes it touches, so sessions that
+	// RunSessions runs concurrently commit side by side when their
+	// names hash apart. The striped-apply invariance matrix runs 1 vs 64
+	// to prove the stripe count is unobservable in stats, traces, and
+	// version maps.
 	StoreStripes int
-	// NodeSpeeds optionally sets per-node relative CPU speeds.
-	NodeSpeeds []float64
 	// SweepEvery runs the background object reclaimer at this virtual
 	// interval (the abstract's "history-based object reclamation in the
 	// background"); 0 disables the periodic sweep.
@@ -84,8 +83,9 @@ type Config struct {
 	// cluster and task manager (docs/FAULTS.md). Nil injects nothing.
 	Fault *fault.Plan
 	// Retry is the task manager's per-step retry policy for transient
-	// failures; the zero value disables retries. Independent of
-	// MaxRestarts (a retry never consumes a programmable-abort restart).
+	// failures; the zero value disables retries. Independent of the
+	// programmable-abort restart budget (task.Config.MaxRestarts, default
+	// 3): a retry never consumes a restart.
 	Retry task.RetryPolicy
 	// Workers sizes the concurrency of the engine: the task manager's
 	// per-batch tool-body pool and the number of sessions RunSessions
@@ -156,7 +156,6 @@ func New(cfg Config) (*System, error) {
 	cluster, err := sprite.NewCluster(sprite.Config{
 		Nodes:          cfg.Nodes,
 		MigrationDelay: cfg.MigrationDelay,
-		Speeds:         cfg.NodeSpeeds,
 		Metrics:        cfg.Metrics,
 		Tracer:         cfg.Trace,
 	})
@@ -183,7 +182,6 @@ func New(cfg Config) (*System, error) {
 		Cluster:        cluster,
 		Templates:      s.templateSource(),
 		AttrDB:         s.Attrs,
-		MaxRestarts:    cfg.MaxRestarts,
 		ReMigrateEvery: cfg.ReMigrateEvery,
 		Retry:          cfg.Retry,
 		Workers:        cfg.Workers,

@@ -225,7 +225,6 @@ func (sys *System) newSession(index int, spec SessionSpec) (*Session, error) {
 	cluster, err := sprite.NewCluster(sprite.Config{
 		Nodes:          sys.cfg.Nodes,
 		MigrationDelay: sys.cfg.MigrationDelay,
-		Speeds:         sys.cfg.NodeSpeeds,
 		Metrics:        sys.Metrics,
 		Tracer:         tracer,
 	})
@@ -251,7 +250,6 @@ func (sys *System) newSession(index int, spec SessionSpec) (*Session, error) {
 		Cluster:        cluster,
 		Templates:      sys.templateSource(),
 		AttrDB:         sys.Attrs,
-		MaxRestarts:    sys.cfg.MaxRestarts,
 		ReMigrateEvery: sys.cfg.ReMigrateEvery,
 		Retry:          sys.cfg.Retry,
 		Workers:        sys.cfg.Workers,

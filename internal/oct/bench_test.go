@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// BenchmarkTxnCommitDisjoint is the striped-apply hot path: every
-// transaction writes a distinct name, so parallel commits contend only
-// on stripe-hash collisions. Allocations per commit feed the perfbench
+// BenchmarkTxnCommitDisjoint is the striped commit hot path: every
+// transaction writes a distinct name, so commits from concurrent
+// sessions contend only on stripe-hash collisions. Allocations per commit feed the perfbench
 // allocs/step ceilings that `scripts/ratchet.sh counts` holds
 // (scripts/floors.txt, docs/PERFORMANCE.md).
 func BenchmarkTxnCommitDisjoint(b *testing.B) {
@@ -30,8 +30,7 @@ func BenchmarkTxnCommitDisjoint(b *testing.B) {
 }
 
 // BenchmarkTxnCommitSameName serializes every commit on one stripe —
-// the worst case the wave scheduler avoids by putting same-stripe
-// transactions in separate waves.
+// the worst case for concurrent sessions that write the same name.
 func BenchmarkTxnCommitSameName(b *testing.B) {
 	s := NewStore()
 	b.ReportAllocs()

@@ -172,15 +172,6 @@ func (s *Store) SetObservability(metrics *obs.Registry, tracer *obs.Tracer, now 
 	s.vtnow = now
 }
 
-// Tracing reports whether a trace sink is attached. The task manager's
-// parallel apply phase consults it: commit reordering would permute
-// version-create trace events, so parallel commits are gated off while
-// a store tracer is live (single-system traced runs stay sequential;
-// RunSessions suppresses the store tracer and gets the parallelism).
-// Like SetObservability, meaningful only when observability is
-// configured before concurrent use.
-func (s *Store) Tracing() bool { return s.tracer != nil }
-
 // vt returns the trace timestamp.
 func (s *Store) vt() int64 {
 	if s.vtnow != nil {

@@ -208,18 +208,6 @@ func (t *Txn) stripeSetLocked() []int {
 	return set[:j]
 }
 
-// Stripes returns the sorted, deduplicated stripe indices this
-// transaction's staged writes and hides touch. The task manager's
-// parallel apply phase uses the footprint to schedule same-batch commits
-// on disjoint stripes concurrently (docs/PERFORMANCE.md). Only
-// meaningful once staging is complete; the returned slice aliases
-// internal scratch and is invalidated by any later Put, Hide, or Commit.
-func (t *Txn) Stripes() []int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stripeSetLocked()
-}
-
 // Abort discards all staged work; the store is untouched.
 func (t *Txn) Abort() {
 	t.mu.Lock()

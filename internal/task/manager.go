@@ -24,7 +24,7 @@
 // side effects — the "compulsory abort" of §4.3.4.
 //
 // Tool bodies of a same-instant completion batch execute on a worker
-// pool (Config.Workers) over a deterministic two-phase batch schedule,
+// pool (Config.Workers) over a deterministic three-phase batch schedule,
 // so results are byte-identical at any pool size; a step whose memo key
 // hits the step-result cache (internal/memo, docs/CACHING.md) completes
 // without dispatching at all. In the served architecture the wire's
@@ -81,8 +81,8 @@ type Config struct {
 	// record's slices are shared and read-only (history.StepRecord).
 	OnStep func(history.StepRecord)
 	// Workers caps the run-scoped pool that executes a completion
-	// batch's tool bodies and stripe-disjoint commit waves concurrently
-	// (pool.go); <= 0 selects DefaultWorkers. Workers are spawned
+	// batch's tool bodies concurrently (pool.go); <= 0 selects
+	// DefaultWorkers. Workers are spawned
 	// lazily up to the cap, so a value wider than the workload's
 	// batches costs nothing. Any value produces the same stats,
 	// traces, and store content: batch boundaries and apply order are
@@ -341,8 +341,8 @@ type run struct {
 	activating bool
 	reactivate bool
 
-	// pool runs tool bodies and stripe-disjoint commit waves for every
-	// batch of this run; nil when Workers <= 1 (pool.go).
+	// pool runs the tool bodies of every batch of this run; nil when
+	// Workers <= 1 (pool.go).
 	pool *workPool
 }
 

@@ -86,28 +86,12 @@ func (r *run) tryMemoHit(p *pending) bool {
 	now := r.m.cfg.Cluster.Now()
 	p.startedAt = now
 	p.attempts++
-	stepRec := history.StepRecord{
-		StepID:      p.stepID,
-		Name:        p.spec.Name,
-		Tool:        p.tool.Name,
-		Options:     p.options,
+	stepRec := r.record(p, history.StepRecord{
 		StartedAt:   now,
 		CompletedAt: now,
 		Node:        int(r.m.cfg.Home),
-		ExitStatus:  0,
 		Log:         e.Log,
-	}
-	for _, phys := range p.inputs {
-		stepRec.Inputs = append(stepRec.Inputs, r.ready[phys])
-	}
-	for _, obj := range objs {
-		ref := oct.Ref{Name: obj.Name, Version: obj.Version}
-		stepRec.Outputs = append(stepRec.Outputs, ref)
-		r.ready[ref.Name] = ref
-		r.producer[ref.Name] = p.internalID
-		r.created = append(r.created, createdObj{ref: ref, internalID: p.internalID})
-	}
-	r.done = append(r.done, doneStep{rec: stepRec, internalID: p.internalID})
+	}, objs)
 
 	r.m.cfg.Metrics.Inc("memo.hit")
 	r.m.cfg.Metrics.Add("memo.bytes", served)
@@ -125,16 +109,7 @@ func (r *run) tryMemoHit(p *pending) bool {
 			Args: map[string]string{"tool": p.tool.Name, "memo": "hit"},
 		})
 	}
-	if r.m.cfg.OnStep != nil {
-		r.m.cfg.OnStep(stepRec)
-	}
-
-	key := p.stepID
-	if key == "" {
-		key = p.spec.Name
-	}
-	r.completed[key] = true
-	r.interp.SetGlobalVar("status", "0")
+	r.complete(p, stepRec)
 
 	r.activateSuspended()
 	return true

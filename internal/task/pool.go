@@ -6,8 +6,8 @@ import (
 )
 
 // workPool is a run-scoped worker pool shared by every completion batch
-// of a task: phase two (tool bodies) and the parallel apply phase
-// (stripe-disjoint commit waves, steps.go) both run on it. Workers are
+// of a task: phase two of the batch schedule (tool bodies, steps.go)
+// runs on it; commits stay in the sequential apply phase. Workers are
 // spawned lazily, one per submission that finds no idle worker, capped
 // at Config.Workers — so a run whose batches never go wider than W pays
 // for W goroutines total, no matter how large the configured pool or

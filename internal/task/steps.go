@@ -3,6 +3,7 @@ package task
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -306,25 +307,16 @@ type stepExec struct {
 
 	ctx     *cad.Ctx // prepared tool context (nil unless body runs)
 	toolErr error    // body result
-
-	// Parallel apply results (commitBatch): set when this exec's
-	// transaction was committed ahead of the sequential apply pass as
-	// part of a stripe-disjoint commit wave.
-	precommitted bool
-	committed    []*oct.Object
-	commitErr    error
 }
 
 // onBatch processes one same-instant completion batch under the phased
 // schedule that keeps parallel execution deterministic (§4.3.2 extended):
 // phase one classifies each completion and prepares its tool context
 // sequentially in event order; phase two runs the pure tool bodies
-// concurrently on the worker pool; phase three commits clean batches in
-// stripe-disjoint waves (commitBatch); phase four applies results —
-// commits not already applied, history, failure semantics — sequentially
-// in event order again. Worker count only changes phase overlap, so every
-// export is byte-identical at any setting. If applying a result stops the
-// batch early (restart or
+// concurrently on the worker pool; phase three applies results — commit,
+// history, failure semantics — sequentially in event order again. Worker
+// count only changes phase overlap, so every export is byte-identical at
+// any setting. If applying a result stops the batch early (restart or
 // abort), the unapplied tail is requeued on the cluster and its prepared
 // transactions discarded; tool bodies only stage writes, so a body that
 // ran but was never applied leaves no trace in the store.
@@ -336,7 +328,6 @@ func (r *run) onBatch(batch []sprite.Completion) error {
 		execs[i] = r.prepare(c)
 	}
 	r.runBodies(execs)
-	r.commitBatch(execs)
 	for i, ex := range execs {
 		if err := r.apply(ex); err != nil {
 			var rest []sprite.Completion
@@ -427,82 +418,10 @@ func (r *run) runBodies(execs []*stepExec) {
 	})
 }
 
-// commitBatch is the striped apply phase: it opportunistically commits a
-// clean batch's staged transactions in parallel "waves" before the
-// sequential apply pass consumes the results. A wave is a maximal run,
-// in event order, of transactions whose OCT stripe footprints are
-// pairwise disjoint; waves execute one after another, so two same-batch
-// writes to the same name (or merely the same stripe) still commit in
-// event order and draw the same single-assignment version numbers the
-// sequential schedule would. Disjoint-stripe commits touch disjoint
-// store state, and everything exported — stats counters, the version
-// map, WAL replay — is order-independent across disjoint names, so the
-// reordering is unobservable and every fingerprint stays byte-identical
-// at any worker count (docs/PERFORMANCE.md).
-//
-// The phase stands down entirely (falling back to commit-inside-apply)
-// when:
-//   - Workers <= 1 — nothing to gain;
-//   - a store tracer is attached — commit reordering would permute
-//     version-create trace events (RunSessions suppresses the store
-//     tracer, so multi-session runs keep the parallelism);
-//   - any exec in the batch failed, faulted, or lost an input — the
-//     sequential pass may stop mid-batch and abort the tail, so eager
-//     commits of later execs would write state the baseline never
-//     writes.
-func (r *run) commitBatch(execs []*stepExec) {
-	if r.pool == nil || r.m.cfg.Store.Tracing() {
-		return
-	}
-	var clean []*stepExec
-	for _, ex := range execs {
-		if ex.transientErr != nil || ex.prepErr != nil {
-			return
-		}
-		if ex.ctx == nil {
-			continue
-		}
-		if ex.toolErr != nil {
-			return
-		}
-		clean = append(clean, ex)
-	}
-	if len(clean) < 2 {
-		return
-	}
-	used := make(map[int]bool)
-	var wave []*stepExec
-	flush := func() {
-		r.pool.runExecs(wave, func(ex *stepExec) {
-			ex.committed, ex.commitErr = ex.ctx.Txn.Commit()
-			ex.precommitted = true
-		})
-		wave = wave[:0]
-		clear(used)
-	}
-	for _, ex := range clean {
-		stripes := ex.ctx.Txn.Stripes()
-		conflict := false
-		for _, st := range stripes {
-			if used[st] {
-				conflict = true
-				break
-			}
-		}
-		if conflict {
-			flush()
-		}
-		for _, st := range stripes {
-			used[st] = true
-		}
-		wave = append(wave, ex)
-	}
-	flush()
-}
-
 // apply takes one executed completion through the sequential tail of the
-// old completion handler: commit or failure semantics, the Result list,
-// history, metrics/trace, and re-activation of suspended steps.
+// batch schedule: commit (the only place a tool run's transaction
+// commits) or failure semantics, the Result list, history, metrics/trace,
+// and re-activation of suspended steps.
 func (r *run) apply(ex *stepExec) error {
 	if ex.p == nil {
 		return nil
@@ -522,7 +441,7 @@ func (r *run) apply(ex *stepExec) error {
 
 	exit := 0
 	var toolErr error
-	var createdRefs []oct.Ref
+	var objs []*oct.Object
 	var logText string
 	if transientErr != nil {
 		// Retry budget spent: surface the transient failure through the
@@ -540,47 +459,26 @@ func (r *run) apply(ex *stepExec) error {
 				return nil
 			}
 		} else {
-			objs, err := ex.committed, ex.commitErr
-			if !ex.precommitted {
-				objs, err = ctx.Txn.Commit()
-			}
-			if err != nil {
+			var err error
+			if objs, err = ctx.Txn.Commit(); err != nil {
 				return fmt.Errorf("step %s: commit: %v", p.spec.Name, err)
-			}
-			for _, obj := range objs {
-				ref := oct.Ref{Name: obj.Name, Version: obj.Version}
-				createdRefs = append(createdRefs, ref)
-				r.ready[ref.Name] = ref
-				r.producer[ref.Name] = p.internalID
-				r.created = append(r.created, createdObj{ref: ref, internalID: p.internalID})
 			}
 		}
 		logText = ctx.Log.String()
-		if toolErr == nil {
-			// Clean completion: commit applied, no crash, no fault, no
-			// tool error. Only now may the step's result enter the cache.
-			r.populateMemo(p, ex, createdRefs, logText)
-		}
 	}
 
-	stepRec := history.StepRecord{
-		StepID:      p.stepID,
-		Name:        p.spec.Name,
-		Tool:        p.tool.Name,
-		Options:     p.options,
+	stepRec := r.record(p, history.StepRecord{
 		StartedAt:   p.startedAt,
 		CompletedAt: c.At,
 		Node:        int(c.Node),
 		Migrations:  c.Migrations,
 		ExitStatus:  exit,
 		Log:         logText,
-	}
-	for _, phys := range p.inputs {
-		stepRec.Inputs = append(stepRec.Inputs, r.ready[phys])
-	}
-	stepRec.Outputs = createdRefs
-	r.done = append(r.done, doneStep{rec: stepRec, internalID: p.internalID})
+	}, objs)
 	if exit == 0 {
+		// Clean completion: commit applied, no crash, no fault, no tool
+		// error. Only now may the step's result enter the cache.
+		r.populateMemo(p, ex, stepRec.Outputs, logText)
 		r.m.cfg.Metrics.Inc("task.step.complete")
 	} else {
 		r.m.cfg.Metrics.Inc("task.step.fail")
@@ -601,19 +499,7 @@ func (r *run) apply(ex *stepExec) error {
 		}
 		tr.Emit(ev)
 	}
-	if r.m.cfg.OnStep != nil {
-		r.m.cfg.OnStep(stepRec)
-	}
-
-	key := p.stepID
-	if key == "" {
-		key = p.spec.Name
-	}
-	r.completed[key] = exit == 0
-	if p.stepID != "" {
-		r.completed[p.stepID] = exit == 0
-	}
-	r.interp.SetGlobalVar("status", fmt.Sprintf("%d", exit))
+	r.complete(p, stepRec)
 
 	if exit != 0 {
 		if p.spec.OnFailCont {
@@ -630,6 +516,41 @@ func (r *run) apply(ex *stepExec) error {
 
 	r.activateSuspended()
 	return nil
+}
+
+// record completes rec — the attempt's timing, placement, exit status and
+// log — with p's identity and data flow, and enters the committed objs
+// into the Result list. Inputs are read before outputs are entered, so a
+// step that rewrites a name it reads records the version it read.
+func (r *run) record(p *pending, rec history.StepRecord, objs []*oct.Object) history.StepRecord {
+	rec.StepID, rec.Name, rec.Tool, rec.Options = p.stepID, p.spec.Name, p.tool.Name, p.options
+	for _, phys := range p.inputs {
+		rec.Inputs = append(rec.Inputs, r.ready[phys])
+	}
+	for _, obj := range objs {
+		ref := oct.Ref{Name: obj.Name, Version: obj.Version}
+		rec.Outputs = append(rec.Outputs, ref)
+		r.ready[ref.Name] = ref
+		r.producer[ref.Name] = p.internalID
+		r.created = append(r.created, createdObj{ref: ref, internalID: p.internalID})
+	}
+	return rec
+}
+
+// complete enters a recorded step in the run's history and the template's
+// view: the done list, the OnStep hook, the completion entry that control
+// dependencies wait on, and $status.
+func (r *run) complete(p *pending, rec history.StepRecord) {
+	r.done = append(r.done, doneStep{rec: rec, internalID: p.internalID})
+	if r.m.cfg.OnStep != nil {
+		r.m.cfg.OnStep(rec)
+	}
+	key := p.stepID
+	if key == "" {
+		key = p.spec.Name
+	}
+	r.completed[key] = rec.ExitStatus == 0
+	r.interp.SetGlobalVar("status", strconv.Itoa(rec.ExitStatus))
 }
 
 // scheduleRetry re-issues a transiently failed step under the retry

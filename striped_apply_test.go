@@ -1,13 +1,15 @@
 package papyrus
 
-// The striped-apply invariance matrix (docs/PERFORMANCE.md). The batch
-// scheduler commits disjoint-stripe transactions of one batch
-// concurrently, so the stripe layout and the worker pool size are pure
-// performance knobs: every cell of stripes {1, 64} x workers {1, 8}
-// must export byte-identical stats, a byte-identical merged trace, and
-// a byte-identical store version map. A single stripe serializes every
-// commit (the degenerate wave schedule); 64 stripes let whole batches
-// land in one wave — neither may be observable in any output.
+// The striped-apply invariance matrix (docs/PERFORMANCE.md). Concurrent
+// sessions commit into one shared store, each commit locking only the
+// stripes it touches, and the worker count sizes both the session
+// fan-out and each session's tool-body pool. So the stripe layout and
+// the worker count are pure performance knobs: every cell of stripes
+// {1, 64} x workers {1, 8} must export byte-identical stats, a
+// byte-identical merged trace, and a byte-identical store version map.
+// A single stripe serializes every commit across sessions; 64 stripes
+// let commits of disjoint sessions proceed side by side — neither may
+// be observable in any output.
 // CI runs this file under -race -count=2 (.github/workflows/ci.yml).
 
 import (
@@ -24,9 +26,10 @@ import (
 
 // runStripedCell executes 4 disjoint fan-out sessions over a shared
 // store with the given stripe and worker counts and returns the
-// deterministic exports. Multi-session runs suppress the store-level
-// tracer (docs/OBSERVABILITY.md), so the parallel commit path is active
-// whenever workers > 1 while the session-level trace stays comparable.
+// deterministic exports. With workers > 1 the sessions run, and commit,
+// concurrently across the store's stripes; multi-session runs suppress
+// the store-level tracer (docs/OBSERVABILITY.md), so the session-level
+// trace stays comparable.
 func runStripedCell(t *testing.T, stripes, workers int) (stats, versions, trace string) {
 	t.Helper()
 	reg := obs.NewRegistry()
