@@ -106,14 +106,75 @@ type Engine struct {
 	graph *adg.Graph
 	specs map[oct.Type]TypeSpec
 
-	types map[oct.Ref]oct.Type
-	rels  []Relationship
+	// nodes holds what inference knows of each object version: its type
+	// and the heads of its relationship lists.
+	nodes map[oct.Ref]node
+	// typeNames[c-1] is the type a node's typ code c names. The few
+	// types are interned so that a node stays 16 bytes.
+	typeNames []oct.Type
+	// edges stores each distinct relationship once, threaded into the
+	// out-list of its From version (in insertion order) and the in-list
+	// of its To version. Every query reads these lists; none scans edges.
+	edges []edge
 
 	// propCache holds computed propagated-attribute values per object.
 	propCache map[oct.Ref]map[string]string
 	// propEvals counts composite recomputations (cache misses) since the
 	// last CountedPropagate call — the incremental-evaluation metric.
 	propEvals int
+}
+
+// node is one object version's entry in the relationship index. out,
+// last and in are 1-based indexes into Engine.edges, 0 for none: the first
+// and the last edge whose From is this version, and the most recently
+// added edge whose To is this version.
+type node struct {
+	typ           uint16 // 0: no type inferred; else a typeNames code
+	out, last, in int32
+}
+
+// edge is one stored relationship and its links to the next edge of the
+// same From (nextOut) and of the same To (nextIn).
+type edge struct {
+	from, to        oct.Ref
+	via             string
+	nextOut, nextIn int32
+	kind            uint8 // index into relKinds
+}
+
+// An edge stores its kind as a code that indexes relKinds.
+const (
+	codeDerivation uint8 = iota
+	codeVersion
+	codeEquivalence
+	codeConfiguration
+)
+
+var relKinds = [...]RelKind{
+	codeDerivation:    RelDerivation,
+	codeVersion:       RelVersion,
+	codeEquivalence:   RelEquivalence,
+	codeConfiguration: RelConfiguration,
+}
+
+// kindCode returns k's index in relKinds; ok is false for a kind no
+// relationship can have.
+func kindCode(k RelKind) (code uint8, ok bool) {
+	for i, rk := range relKinds {
+		if rk == k {
+			return uint8(i), true
+		}
+	}
+	return 0, false
+}
+
+// at returns the edge at 1-based index i.
+func (e *Engine) at(i int32) *edge { return &e.edges[i-1] }
+
+// rel returns the edge at 1-based index i as a Relationship.
+func (e *Engine) rel(i int32) Relationship {
+	x := e.at(i)
+	return Relationship{Kind: relKinds[x.kind], From: x.from, To: x.to, Via: x.via}
 }
 
 // NewEngine builds an inference engine.
@@ -124,7 +185,7 @@ func NewEngine(suite *cad.Suite, store *oct.Store, attrs *attr.DB) *Engine {
 		attrs:     attrs,
 		graph:     adg.New(),
 		specs:     DefaultTypeSpecs(),
-		types:     make(map[oct.Ref]oct.Type),
+		nodes:     make(map[oct.Ref]node),
 		propCache: make(map[oct.Ref]map[string]string),
 	}
 }
@@ -155,7 +216,9 @@ func (e *Engine) ObserveStep(rec history.StepRecord) {
 		if obj, err := e.store.Peek(out); err == nil && obj.Type != oct.TypeUntyped {
 			t = obj.Type
 		}
-		e.types[out] = t
+		n := e.nodes[out]
+		n.typ = e.typeCode(t)
+		e.nodes[out] = n
 
 		// --- Attribute attachment: inherit what the TSD declares
 		// unchanged, evaluate immediate attributes now, leave the rest
@@ -201,28 +264,60 @@ func (e *Engine) ObserveStep(rec history.StepRecord) {
 	}
 }
 
+// addRel adds r unless it is already known. Only r.From's out-list can
+// hold it, so the check costs the degree of r.From.
 func (e *Engine) addRel(r Relationship) {
-	for _, existing := range e.rels {
-		if existing == r {
+	k, _ := kindCode(r.Kind) // callers pass the kind constants
+	from := e.nodes[r.From]
+	for i := from.out; i != 0; i = e.at(i).nextOut {
+		if x := e.at(i); x.kind == k && x.to == r.To && x.via == r.Via {
 			return
 		}
 	}
-	e.rels = append(e.rels, r)
+	e.edges = append(e.edges, edge{from: r.From, to: r.To, via: r.Via, kind: k})
+	i := int32(len(e.edges))
+	if from.last == 0 {
+		from.out = i
+	} else {
+		e.at(from.last).nextOut = i
+	}
+	from.last = i
+	e.nodes[r.From] = from
+	to := e.nodes[r.To] // read after the write: From and To may be one ref
+	e.at(i).nextIn, to.in = to.in, i
+	e.nodes[r.To] = to
+}
+
+// typeCode interns t.
+func (e *Engine) typeCode(t oct.Type) uint16 {
+	for i, name := range e.typeNames {
+		if name == t {
+			return uint16(i + 1)
+		}
+	}
+	e.typeNames = append(e.typeNames, t)
+	return uint16(len(e.typeNames))
 }
 
 // TypeOf returns the inferred type of an object version.
 func (e *Engine) TypeOf(ref oct.Ref) (oct.Type, bool) {
-	t, ok := e.types[ref]
-	return t, ok
+	if c := e.nodes[ref].typ; c != 0 {
+		return e.typeNames[c-1], true
+	}
+	return "", false
 }
 
 // Relationships returns the inferred relationships touching ref, sorted
 // for determinism.
 func (e *Engine) Relationships(ref oct.Ref) []Relationship {
 	var out []Relationship
-	for _, r := range e.rels {
-		if r.From == ref || r.To == ref {
-			out = append(out, r)
+	n := e.nodes[ref]
+	for i := n.out; i != 0; i = e.at(i).nextOut {
+		out = append(out, e.rel(i))
+	}
+	for i := n.in; i != 0; i = e.at(i).nextIn {
+		if e.at(i).from != ref { // a self-relationship is already in
+			out = append(out, e.rel(i))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -232,7 +327,10 @@ func (e *Engine) Relationships(ref oct.Ref) []Relationship {
 		if out[i].From != out[j].From {
 			return out[i].From.String() < out[j].From.String()
 		}
-		return out[i].To.String() < out[j].To.String()
+		if out[i].To != out[j].To {
+			return out[i].To.String() < out[j].To.String()
+		}
+		return out[i].Via < out[j].Via
 	})
 	return out
 }
@@ -240,10 +338,14 @@ func (e *Engine) Relationships(ref oct.Ref) []Relationship {
 // RelatedBy returns the partners of ref under one relationship kind:
 // objects X with (X kind-of ref), e.g. the components of a configuration.
 func (e *Engine) RelatedBy(kind RelKind, ref oct.Ref) []oct.Ref {
+	k, ok := kindCode(kind)
+	if !ok {
+		return nil
+	}
 	var out []oct.Ref
-	for _, r := range e.rels {
-		if r.Kind == kind && r.To == ref {
-			out = append(out, r.From)
+	for i := e.nodes[ref].in; i != 0; i = e.at(i).nextIn {
+		if x := e.at(i); x.kind == k {
+			out = append(out, x.from)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
@@ -256,25 +358,23 @@ func (e *Engine) RelatedBy(kind RelKind, ref oct.Ref) []oct.Ref {
 func (e *Engine) EquivalenceClass(ref oct.Ref) []oct.Ref {
 	seen := map[oct.Ref]bool{ref: true}
 	queue := []oct.Ref{ref}
+	visit := func(other oct.Ref) {
+		if !seen[other] {
+			seen[other] = true
+			queue = append(queue, other)
+		}
+	}
 	for len(queue) > 0 {
-		cur := queue[0]
+		n := e.nodes[queue[0]]
 		queue = queue[1:]
-		for _, r := range e.rels {
-			if r.Kind != RelEquivalence {
-				continue
+		for i := n.out; i != 0; i = e.at(i).nextOut {
+			if x := e.at(i); x.kind == codeEquivalence {
+				visit(x.to)
 			}
-			var other oct.Ref
-			switch cur {
-			case r.From:
-				other = r.To
-			case r.To:
-				other = r.From
-			default:
-				continue
-			}
-			if !seen[other] {
-				seen[other] = true
-				queue = append(queue, other)
+		}
+		for i := n.in; i != 0; i = e.at(i).nextIn {
+			if x := e.at(i); x.kind == codeEquivalence {
+				visit(x.from)
 			}
 		}
 	}
@@ -291,21 +391,16 @@ func (e *Engine) EquivalenceClass(ref oct.Ref) []oct.Ref {
 // synthesize for a version-control system, §1.3).
 func (e *Engine) Lineage(ref oct.Ref) []oct.Ref {
 	chain := []oct.Ref{ref}
-	cur := ref
-	for {
-		var prev *oct.Ref
-		for _, r := range e.rels {
-			if r.Kind == RelVersion && r.From == cur {
-				p := r.To
-				prev = &p
-				break
-			}
+	for cur := ref; ; {
+		i := e.nodes[cur].out
+		for i != 0 && e.at(i).kind != codeVersion {
+			i = e.at(i).nextOut
 		}
-		if prev == nil {
+		if i == 0 {
 			break
 		}
-		chain = append(chain, *prev)
-		cur = *prev
+		cur = e.at(i).to
+		chain = append(chain, cur)
 	}
 	// Reverse to oldest-first.
 	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
@@ -333,7 +428,7 @@ func (e *Engine) CheckApplicable(toolName string, inputs []oct.Ref) error {
 	accepts[oct.TypeText] = true
 	accepts[oct.TypeBehavioral] = accepts[oct.TypeBehavioral] || accepts[oct.TypeLogic]
 	for _, in := range inputs {
-		t, ok := e.types[in]
+		t, ok := e.TypeOf(in)
 		if !ok {
 			if obj, err := e.store.Peek(in); err == nil {
 				t = obj.Type
@@ -452,9 +547,9 @@ func (e *Engine) AddConfiguration(component, composite oct.Ref, via string) {
 // §6.4.1 (only the affected part of the hierarchy recomputes).
 func (e *Engine) invalidateUp(ref oct.Ref) {
 	delete(e.propCache, ref)
-	for _, r := range e.rels {
-		if r.Kind == RelConfiguration && r.From == ref {
-			e.invalidateUp(r.To)
+	for i := e.nodes[ref].out; i != 0; i = e.at(i).nextOut {
+		if x := e.at(i); x.kind == codeConfiguration {
+			e.invalidateUp(x.to)
 		}
 	}
 }

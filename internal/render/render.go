@@ -9,6 +9,7 @@ package render
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"papyrus/internal/history"
@@ -95,46 +96,82 @@ func ProgressFromRecord(rec *history.Record) string {
 
 // ControlStream renders a thread's control stream as an indented tree
 // (Fig 5.1). The current cursor is marked with `=>`; annotations print in
-// quotes; collapsed (vertically aged) records carry an ellipsis.
+// quotes; collapsed (vertically aged) records carry an ellipsis. A record
+// with several parents prints in full under the first and as "(see
+// above)" under the rest. Siblings print in ID order. Append adds IDs in
+// ascending order, so most lists already are; only a list that is not
+// (after InsertBefore, say) is copied and sorted.
 func ControlStream(s *history.Stream, cursor *history.Record) string {
-	var b strings.Builder
-	b.WriteString("(initial)\n")
-	seen := map[*history.Record]bool{}
-	var walk func(rec *history.Record, depth int)
-	walk = func(rec *history.Record, depth int) {
-		indent := strings.Repeat("  ", depth)
-		marker := "  "
-		if rec == cursor {
-			marker = "=>"
-		}
-		extra := ""
-		if rec.Annotation != "" {
-			extra = fmt.Sprintf(" %q", rec.Annotation)
-		}
-		if rec.Collapsed {
-			extra += " ..."
-		}
-		if seen[rec] {
-			fmt.Fprintf(&b, "%s%s(%d) %s (see above)\n", indent, marker, rec.ID, rec.TaskName)
-			return
-		}
-		seen[rec] = true
-		fmt.Fprintf(&b, "%s%s(%d) %s@%d%s\n", indent, marker, rec.ID, rec.TaskName, rec.Time, extra)
-		kids := append([]*history.Record(nil), rec.Children()...)
-		sort.Slice(kids, func(i, j int) bool { return kids[i].ID < kids[j].ID })
-		for _, c := range kids {
-			walk(c, depth+1)
-		}
-	}
-	roots := append([]*history.Record(nil), s.Roots()...)
-	sort.Slice(roots, func(i, j int) bool { return roots[i].ID < roots[j].ID })
-	for _, r := range roots {
-		walk(r, 1)
+	w := streamWriter{cursor: cursor}
+	w.b.Grow(64 * (s.Len() + 2))
+	w.b.WriteString("(initial)\n")
+	for _, r := range byID(s.Roots()) {
+		w.walk(r, 1)
 	}
 	if cursor == nil {
-		b.WriteString("=> cursor at initial design point\n")
+		w.b.WriteString("=> cursor at initial design point\n")
 	}
-	return b.String()
+	return w.b.String()
+}
+
+// streamWriter is one ControlStream rendering in progress.
+type streamWriter struct {
+	b      strings.Builder
+	num    [24]byte
+	cursor *history.Record
+	// printed holds the multi-parent records already printed in full;
+	// a record with one parent is reached once.
+	printed map[*history.Record]bool
+}
+
+func (w *streamWriter) walk(rec *history.Record, depth int) {
+	for i := 0; i < depth; i++ {
+		w.b.WriteString("  ")
+	}
+	if rec == w.cursor {
+		w.b.WriteString("=>(")
+	} else {
+		w.b.WriteString("  (")
+	}
+	w.b.Write(strconv.AppendInt(w.num[:0], int64(rec.ID), 10))
+	w.b.WriteString(") ")
+	w.b.WriteString(rec.TaskName)
+	if len(rec.Parents()) > 1 {
+		if w.printed[rec] {
+			w.b.WriteString(" (see above)\n")
+			return
+		}
+		if w.printed == nil {
+			w.printed = map[*history.Record]bool{}
+		}
+		w.printed[rec] = true
+	}
+	w.b.WriteByte('@')
+	w.b.Write(strconv.AppendInt(w.num[:0], rec.Time, 10))
+	if rec.Annotation != "" {
+		w.b.WriteByte(' ')
+		w.b.WriteString(strconv.Quote(rec.Annotation))
+	}
+	if rec.Collapsed {
+		w.b.WriteString(" ...")
+	}
+	w.b.WriteByte('\n')
+	for _, c := range byID(rec.Children()) {
+		w.walk(c, depth+1)
+	}
+}
+
+// byID returns recs in ascending ID order: recs itself when it already is,
+// a sorted copy otherwise.
+func byID(recs []*history.Record) []*history.Record {
+	for i := 1; i < len(recs); i++ {
+		if recs[i].ID < recs[i-1].ID {
+			sorted := append([]*history.Record(nil), recs...)
+			sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+			return sorted
+		}
+	}
+	return recs
 }
 
 // DataScope renders the Fig 5.4 data-scope listing: object names with

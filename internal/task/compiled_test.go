@@ -57,6 +57,70 @@ func TestTemplateEditTakesEffect(t *testing.T) {
 	if e.mgr.compiled["Edit"] == first {
 		t.Fatal("edited template kept its stale compiled form")
 	}
+	if st := e.mgr.compiled["Edit"].Steps[1]; st == nil || st.Spec.Name != "S2" || st.Tool != "misII" {
+		t.Fatalf("edited template's pre-parsed second step is %+v, want S2 running misII", st)
+	}
+}
+
+// TestCompiledStepsKeepTclSemantics: a literal step command is registered
+// from its compile-time parse; everything else is evaluated by the
+// interpreter. A step with substitution sees the run's variables, and a
+// proc named step replaces the TDL command for the steps after it, even
+// when a subtask defined it.
+func TestCompiledStepsKeepTclSemantics(t *testing.T) {
+	const procStep = `proc step {id in out inv} {error "proc step: $id reads $in"}`
+	tpl := map[string]string{
+		"VarStep": `task VarStep {A} {Out}
+set tool misII
+step {1 Build} {A} {m1} {bdsyn -o m1 A}
+step {2 Opt} {m1} {Out} "$tool -o Out m1"
+`,
+		"ProcStep": "task ProcStep {A} {Out}\nstep {1 Build} {A} {m1} {bdsyn -o m1 A}\n" + procStep +
+			"\nstep {2 Opt} {m1} {Out} {misII -o Out m1}\n",
+		"Defs": "task Defs {} {}\n" + procStep + "\n",
+		"SubProcStep": `task SubProcStep {A} {Out}
+step {1 Build} {A} {m1} {bdsyn -o m1 A}
+subtask Defs {} {}
+step {2 Opt} {m1} {Out} {misII -o Out m1}
+`,
+	}
+	cases := []struct {
+		task, result string // recorded steps as name:tool, or the error
+	}{
+		{"VarStep", "Build:bdsyn Opt:misII"},
+		{"ProcStep", "task aborted: proc step: 2 Opt reads m1"},
+		{"SubProcStep", "task aborted: proc step: 2 Opt reads m1"},
+	}
+	e := newEnv(t, 2, tpl, nil)
+	a := e.seed(t, "a.spec", oct.TypeBehavioral, oct.Text(logic.ShifterBehavior(3)))
+	for _, c := range cases {
+		for run := 0; run < 2; run++ {
+			rec, err := e.mgr.RunTask(Invocation{
+				Task:    c.task,
+				Inputs:  map[string]oct.Ref{"A": a},
+				Outputs: map[string]string{"Out": "out"},
+			})
+			var got string
+			if err != nil {
+				got = err.Error()
+			} else {
+				var steps []string
+				for _, s := range rec.Steps {
+					steps = append(steps, s.Name+":"+s.Tool)
+				}
+				got = strings.Join(steps, " ")
+			}
+			if got != c.result {
+				t.Errorf("%s run %d: %s, want %s", c.task, run, got, c.result)
+			}
+		}
+	}
+	if e.mgr.compiled["VarStep"].Steps[2] != nil {
+		t.Error("a step with $ substitution was pre-parsed")
+	}
+	if e.mgr.compiled["ProcStep"].Steps[2] == nil {
+		t.Error("a literal step was not pre-parsed")
+	}
 }
 
 // TestCompiledTemplateShared: a replay's TemplateIO lookup, the replayed
@@ -131,6 +195,11 @@ step S3 {m1} {Out} {misII -o Out m1}
 `,
 		"BadSub":   "task BadSub {A} {Out}\nstep S1 {A} {m1} {bdsyn -o m1 A}\nsubtask {2 BadInner} {m1} {Out}\n",
 		"BadInner": "task BadInner {X} {Y}\nstep S1 {X} {Y} {misII -o Y X}\nset q [list a\n",
+		// Literal steps that fail in the run: too few fields, an unknown
+		// optional field, an unknown tool.
+		"BadStep":  "task BadStep {A} {Out}\nstep S1 {A} {m1} {bdsyn -o m1 A}\nstep {2 Bad} {m1} {Out}\n",
+		"BadField": "task BadField {A} {Out}\nstep S1 {A} {m1} {bdsyn -o m1 A}\nstep S2 {m1} {Out} {misII -o Out m1} {Bogus 1}\n",
+		"BadTool":  "task BadTool {A} {Out}\nstep S1 {A} {m1} {bdsyn -o m1 A}\nstep S2 {m1} {Out} {nosuchtool -o Out m1}\n",
 	}
 	cases := []struct {
 		task, err string
@@ -139,6 +208,9 @@ step S3 {m1} {Out} {misII -o Out m1}
 		{"BadTop", "tdl: missing close-brace for brace at offset 63", ""},
 		{"BadBody", "task aborted: missing close-quote for quote at offset 40", "S1 S2"},
 		{"BadSub", "task aborted: subtask BadInner: tdl: missing close-bracket for bracket at offset 59", "S1"},
+		{"BadStep", "task aborted: tdl: step wants {ID? Name} {inputs} {outputs} {invocation} ?options?, got 3 args", "S1"},
+		{"BadField", `task aborted: tdl: step S2: unknown optional field "Bogus"`, "S1"},
+		{"BadTool", `task aborted: step S2: unknown tool "nosuchtool"`, "S1"},
 	}
 	for _, c := range cases {
 		tracer := obs.NewTracer()

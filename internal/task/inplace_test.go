@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"papyrus/internal/adg"
+	"papyrus/internal/cad"
 	"papyrus/internal/cad/logic"
 	"papyrus/internal/history"
 	"papyrus/internal/memo"
@@ -88,6 +89,105 @@ func TestInPlaceStepRecordsReadVersion(t *testing.T) {
 		}
 		if !reflect.DeepEqual(strip(miss), strip(hit)) {
 			t.Errorf("miss records %+v, hit records %+v", miss, hit)
+		}
+	})
+}
+
+// readerTpl issues Reader beside Optimize, which rewrites m1 in place.
+// Nothing orders the two, so Reader issues on m1@1; it runs for 1000
+// ticks, long enough for Optimize to write m1@2 before Reader completes.
+const readerTpl = `task P {Spec} {Out}
+step {1 Synth} {Spec} {m1} {bdsyn -o m1 Spec}
+step {2 Optimize} {m1} {m1} {misII -o m1 m1}
+step {3 Reader} {m1} {Out} {slowcpy -o Out m1}
+`
+
+// readerOnlyTpl is readerTpl without Optimize.
+const readerOnlyTpl = `task Q {Spec} {Out}
+step {1 Synth} {Spec} {m1} {bdsyn -o m1 Spec}
+step {3 Reader} {m1} {Out} {slowcpy -o Out m1}
+`
+
+// TestStepReadsTheVersionItIssuedOn: a step's inputs are bound when it
+// issues. Reader records, reads and — with the cache on — is keyed by
+// the m1 it issued on, even though Optimize writes a newer m1 first. A
+// later task that reaches Reader on the same m1 therefore gets from the
+// cache the bytes a run without the cache writes.
+func TestStepReadsTheVersionItIssuedOn(t *testing.T) {
+	tpl := map[string]string{"P": readerTpl, "Q": readerOnlyTpl}
+	setup := func(t *testing.T, cache *memo.Cache) (*env, oct.Ref) {
+		e := newEnv(t, 2, tpl, func(c *Config) {
+			if cache != nil {
+				c.Memo = cache
+			}
+		})
+		e.suite.Register(&cad.Tool{
+			Name: "slowcpy", Brief: "slow copy", Man: "copies its input slowly",
+			TSD:  cad.TSD{Writes: oct.TypeLogic},
+			Cost: func(in []*oct.Object, opts []string) float64 { return 1000 },
+			Run: func(ctx *cad.Ctx) error {
+				return ctx.PutOutput(0, ctx.Inputs[0].Type, ctx.Inputs[0].Data)
+			},
+		})
+		return e, e.seed(t, "p.spec", oct.TypeBehavioral, oct.Text(logic.ShifterBehavior(3)))
+	}
+	run := func(t *testing.T, e *env, task string, spec oct.Ref, out string) (*history.Record, *oct.Object) {
+		t.Helper()
+		rec, err := e.mgr.RunTask(Invocation{
+			Task:    task,
+			Inputs:  map[string]oct.Ref{"Spec": spec},
+			Outputs: map[string]string{"Out": out},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, err := e.store.Peek(oct.Ref{Name: out})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec, obj
+	}
+	step := func(rec *history.Record, name string) history.StepRecord {
+		for _, s := range rec.Steps {
+			if s.Name == name {
+				return s
+			}
+		}
+		return history.StepRecord{}
+	}
+
+	t.Run("memo off", func(t *testing.T) {
+		e, spec := setup(t, nil)
+		rec, out := run(t, e, "P", spec, "out")
+		synth, opt, reader := step(rec, "Synth"), step(rec, "Optimize"), step(rec, "Reader")
+		if reader.CompletedAt <= opt.CompletedAt {
+			t.Fatalf("Reader completed at %d, not after Optimize at %d", reader.CompletedAt, opt.CompletedAt)
+		}
+		if !reflect.DeepEqual(reader.Inputs, synth.Outputs) {
+			t.Errorf("Reader records inputs %v, want Synth's output %v", reader.Inputs, synth.Outputs)
+		}
+		m1, err := e.store.Peek(synth.Outputs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out.Data, m1.Data) {
+			t.Errorf("Reader wrote %v, want a copy of %s", out.Data, synth.Outputs[0])
+		}
+	})
+	t.Run("memo on", func(t *testing.T) {
+		plain, spec := setup(t, nil)
+		_, want := run(t, plain, "Q", spec, "out")
+
+		cache := memo.NewCache()
+		e, spec := setup(t, cache)
+		run(t, e, "P", spec, "out")
+		hits := cache.Snapshot().Hits
+		_, got := run(t, e, "Q", spec, "out")
+		if n := cache.Snapshot().Hits - hits; n != 2 {
+			t.Fatalf("Q served %d steps from the cache, want 2", n)
+		}
+		if !reflect.DeepEqual(got.Data, want.Data) {
+			t.Errorf("Q with the cache wrote %v, without it %v", got.Data, want.Data)
 		}
 	})
 }

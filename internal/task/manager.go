@@ -273,6 +273,9 @@ type pending struct {
 	inputs     []string // physical names
 	outputs    []string // physical names
 	migratable bool
+	// bound holds inputs[i]'s version as of the step's latest issue
+	// (run.bind).
+	bound []boundInput
 
 	waitingData map[string]bool // unsatisfied physical input names
 	waitingCtl  map[string]bool // unsatisfied control-dependency step IDs
@@ -288,6 +291,12 @@ type pending struct {
 	// registers the entry under them (plus its output refs) so sweep-time
 	// reclamation can invalidate it (memo.Cache.Invalidate).
 	memoTokens []string
+}
+
+// boundInput is one input version a step issued on.
+type boundInput struct {
+	ref oct.Ref
+	obj *oct.Object // nil when ref could not be read at issue
 }
 
 // run is the state of one task instantiation — the dissertation's "forked
@@ -522,6 +531,9 @@ func (r *run) evalCommand(tpl *tdl.Compiled, i int) error {
 		if err := r.drain(); err != nil {
 			return err
 		}
+	}
+	if st := tpl.Steps[i]; st != nil && !r.interp.IsProc("step") {
+		return r.registerStep(st) // what evaluating the command would do
 	}
 	_, err := r.interp.EvalScript(tpl.Scripts[i])
 	return err

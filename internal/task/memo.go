@@ -18,11 +18,10 @@ import (
 // never populate, because apply only reaches the populate path after a
 // committed, fault-free run.
 
-// memoKeyFor fingerprints a step whose data dependencies are all
-// satisfied, recording the input identity tokens on p for populate-time
-// invalidation tracking. Returns "" when the step cannot be keyed (no
-// cache, or an input is not resolvable), which disables memoization for
-// the step.
+// memoKeyFor fingerprints a step from its bound inputs, recording the
+// input identity tokens on p for populate-time invalidation tracking.
+// Returns "" when the step cannot be keyed (no cache, or a bound input
+// could not be read), which disables memoization for the step.
 func (r *run) memoKeyFor(p *pending) string {
 	c := r.m.cfg.Memo
 	if c == nil {
@@ -30,16 +29,11 @@ func (r *run) memoKeyFor(p *pending) string {
 	}
 	p.memoTokens = p.memoTokens[:0]
 	key := memo.StepKey{Tool: p.tool.Name, Options: p.options}
-	for _, phys := range p.inputs {
-		ref, ok := r.ready[phys]
-		if !ok {
+	for _, b := range p.bound {
+		if b.obj == nil {
 			return ""
 		}
-		obj, err := r.m.cfg.Store.Peek(ref)
-		if err != nil {
-			return ""
-		}
-		id := c.InputID(obj)
+		id := c.InputID(b.obj)
 		key.Inputs = append(key.Inputs, id)
 		p.memoTokens = append(p.memoTokens, id.Version)
 	}

@@ -25,11 +25,11 @@ func (r *run) registerCommands() {
 		return "", fmt.Errorf("task: task command only valid as a template header")
 	})
 	r.interp.Register("step", func(in *tcl.Interp, args []string) (string, error) {
-		spec, err := tdl.ParseStepArgs(args[1:])
+		st, err := tdl.ParseStep(args[1:])
 		if err != nil {
 			return "", err
 		}
-		return "", r.registerStep(spec)
+		return "", r.registerStep(st)
 	})
 	r.interp.Register("subtask", func(in *tcl.Interp, args []string) (string, error) {
 		spec, err := tdl.ParseSubtaskArgs(args[1:])
@@ -136,21 +136,16 @@ func (r *run) isIntermediate(phys string) bool {
 }
 
 // registerStep resolves a step's names and either dispatches it or parks
-// it on the Suspending list (§4.3.2's out-of-order issue).
-func (r *run) registerStep(spec *tdl.StepSpec) error {
+// it on the Suspending list (§4.3.2's out-of-order issue). st may belong
+// to the compiled template, so it is only read.
+func (r *run) registerStep(st *tdl.Step) error {
 	if r.resumedSpecs == nil {
 		r.resumedSpecs = map[string]string{}
 	}
-	var ioNames []string
-	ioNames = append(ioNames, spec.Inputs...)
-	ioNames = append(ioNames, spec.Outputs...)
-	toolName, options, err := tdl.SplitInvocation(spec.Invocation, ioNames)
-	if err != nil {
-		return err
-	}
-	tool, ok := r.m.cfg.Suite.Tool(toolName)
+	spec, options := st.Spec, st.Options
+	tool, ok := r.m.cfg.Suite.Tool(st.Tool)
 	if !ok {
-		return fmt.Errorf("step %s: unknown tool %q", spec.Name, toolName)
+		return fmt.Errorf("step %s: unknown tool %q", spec.Name, st.Tool)
 	}
 	if ov, ok := r.inv.OptionOverrides[spec.Name]; ok {
 		options = append([]string(nil), ov...)
@@ -221,20 +216,22 @@ func (r *run) prefixResumed(id string) string {
 	return r.prefixID(id)
 }
 
-// dispatch puts a ready step on the cluster (the Active list) — unless a
-// memo cache is armed and holds the step's fingerprint, in which case the
-// cached result is materialized and the step completes without a sprite
+// dispatch issues a ready step: it binds the step's inputs, then puts the
+// step on the cluster (the Active list) — unless a memo cache is armed and
+// holds the step's fingerprint, in which case the cached result is
+// materialized and the step completes without a sprite
 // (internal/task/memo.go). The hit decision runs only at sequential
 // points (registerStep, apply, retry timers), so it is independent of the
 // worker count.
 func (r *run) dispatch(p *pending) {
+	r.bind(p)
 	if r.tryMemoHit(p) {
 		return
 	}
 	var inputObjs []*oct.Object
-	for _, phys := range p.inputs {
-		if obj, err := r.m.cfg.Store.Peek(r.ready[phys]); err == nil {
-			inputObjs = append(inputObjs, obj)
+	for _, b := range p.bound {
+		if b.obj != nil {
+			inputObjs = append(inputObjs, b.obj)
 		}
 	}
 	work := p.tool.Cost(inputObjs, p.options)
@@ -258,6 +255,20 @@ func (r *run) dispatch(p *pending) {
 			Task: r.id, PID: int(p.pid), Node: int(proc.Node()),
 			Args: map[string]string{"tool": p.tool.Name},
 		})
+	}
+}
+
+// bind binds each of p's inputs to the version the Result list names for
+// it now, at issue. A step reads the versions it issued on, even when a
+// sibling that completes first writes a newer version of the same name:
+// the cost estimate, the memo key, the tool body and the history record
+// all read p.bound (DESIGN.md §1, "One input binding per step").
+func (r *run) bind(p *pending) {
+	p.bound = p.bound[:0]
+	for _, phys := range p.inputs {
+		ref := r.ready[phys]
+		obj, _ := r.m.cfg.Store.Peek(ref) // nil when ref cannot be read
+		p.bound = append(p.bound, boundInput{ref: ref, obj: obj})
 	}
 }
 
@@ -383,11 +394,11 @@ func (r *run) prepare(c sprite.Completion) *stepExec {
 		Options:     p.options,
 		OutputNames: p.outputs,
 	}
-	for _, phys := range p.inputs {
-		obj, err := r.m.cfg.Store.Get(r.ready[phys])
+	for i, b := range p.bound {
+		obj, err := r.m.cfg.Store.Get(b.ref)
 		if err != nil {
 			ctx.Txn.Abort()
-			ex.prepErr = fmt.Errorf("step %s: input %s vanished: %v", p.spec.Name, phys, err)
+			ex.prepErr = fmt.Errorf("step %s: input %s vanished: %v", p.spec.Name, p.inputs[i], err)
 			return ex
 		}
 		ctx.Inputs = append(ctx.Inputs, obj)
@@ -520,12 +531,12 @@ func (r *run) apply(ex *stepExec) error {
 
 // record completes rec — the attempt's timing, placement, exit status and
 // log — with p's identity and data flow, and enters the committed objs
-// into the Result list. Inputs are read before outputs are entered, so a
+// into the Result list. The inputs are the versions bound at issue, so a
 // step that rewrites a name it reads records the version it read.
 func (r *run) record(p *pending, rec history.StepRecord, objs []*oct.Object) history.StepRecord {
 	rec.StepID, rec.Name, rec.Tool, rec.Options = p.stepID, p.spec.Name, p.tool.Name, p.options
-	for _, phys := range p.inputs {
-		rec.Inputs = append(rec.Inputs, r.ready[phys])
+	for _, b := range p.bound {
+		rec.Inputs = append(rec.Inputs, b.ref)
 	}
 	for _, obj := range objs {
 		ref := oct.Ref{Name: obj.Name, Version: obj.Version}

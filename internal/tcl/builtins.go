@@ -303,6 +303,10 @@ func cmdProc(in *Interp, args []string) (string, error) {
 		}
 		return result, err
 	})
+	if in.procs == nil {
+		in.procs = make(map[string]bool)
+	}
+	in.procs[name] = true
 	return "", nil
 }
 

@@ -166,3 +166,51 @@ func TestCompiledWordsPointIntoSource(t *testing.T) {
 		t.Fatalf("escaped bare word = %q, %v", got, err)
 	}
 }
+
+// TestLiteralWords: a one-command script yields its words only when no
+// substitution is left for evaluation.
+func TestLiteralWords(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want []string // nil: not literal
+	}{
+		{`step {1 A} {x y} "q r" a\tb {}`, []string{"step", "1 A", "x y", "q r", "a\tb", ""}},
+		{`step {$x} {[y]}`, []string{"step", "$x", "[y]"}},
+		{`step $x`, nil},
+		{`step "a $x"`, nil},
+		{`step [list a]`, nil},
+		{"step a; step b", nil},
+	} {
+		got, ok := Compile(c.src).LiteralWords()
+		if ok != (c.want != nil) || strings.Join(got, "|") != strings.Join(c.want, "|") {
+			t.Errorf("LiteralWords(%q) = %q, %v; want %q", c.src, got, ok, c.want)
+		}
+	}
+}
+
+// TestIsProc: IsProc reports a command that proc defined, until Register
+// or Unregister rebinds the name.
+func TestIsProc(t *testing.T) {
+	in := New()
+	in.Register("step", func(*Interp, []string) (string, error) { return "", nil })
+	if in.IsProc("step") || in.IsProc("set") {
+		t.Fatal("a registered command or a builtin reads as a proc")
+	}
+	if _, err := in.Eval("proc step {args} {return x}"); err != nil {
+		t.Fatal(err)
+	}
+	if !in.IsProc("step") {
+		t.Fatal("proc step not reported")
+	}
+	in.Register("step", func(*Interp, []string) (string, error) { return "", nil })
+	if in.IsProc("step") {
+		t.Fatal("Register left step reported as a proc")
+	}
+	if _, err := in.Eval("proc step {args} {return x}"); err != nil {
+		t.Fatal(err)
+	}
+	in.Unregister("step")
+	if in.IsProc("step") {
+		t.Fatal("Unregister left step reported as a proc")
+	}
+}

@@ -449,6 +449,25 @@ func (s *Script) Command(i int) *Script { return &Script{cmds: s.cmds[i : i+1 : 
 // Source returns command i's source text, without its terminator.
 func (s *Script) Source(i int) string { return s.cmds[i].src }
 
+// LiteralWords returns the words of a one-command script whose words are
+// all literal: no $ or [] substitution is left for evaluation, so they are
+// the words EvalScript would pass to the command. ok is false for any
+// other script.
+func (s *Script) LiteralWords() (words []string, ok bool) {
+	if len(s.cmds) != 1 || s.err != nil {
+		return nil, false
+	}
+	raw := s.cmds[0].words
+	words = make([]string, len(raw))
+	for i, w := range raw {
+		if w.parts != nil {
+			return nil, false
+		}
+		words[i] = w.text
+	}
+	return words, true
+}
+
 // SplitCommands splits a script into its top-level commands' raw texts
 // without evaluating them: the Source of each command Compile parses.
 func SplitCommands(script string) ([]string, error) {

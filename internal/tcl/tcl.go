@@ -58,7 +58,9 @@ type Interp struct {
 	// the shared builtin table. A nil entry is a tombstone: the name was
 	// unregistered here, hiding any builtin of that name.
 	commands map[string]Command
-	frames   []*frame
+	// procs names the commands of this interpreter that proc defined.
+	procs  map[string]bool
+	frames []*frame
 
 	// Out receives the output of `puts`. Defaults to io.Discard.
 	Out io.Writer
@@ -92,11 +94,16 @@ func (in *Interp) Register(name string, cmd Command) {
 		in.commands = make(map[string]Command)
 	}
 	in.commands[name] = cmd
+	delete(in.procs, name)
 }
+
+// IsProc reports whether name is bound to a procedure defined by proc.
+func (in *Interp) IsProc(name string) bool { return in.procs[name] }
 
 // Unregister removes a command binding from this interpreter. Removing a
 // builtin leaves a tombstone that hides it here and nowhere else.
 func (in *Interp) Unregister(name string) {
+	delete(in.procs, name)
 	if _, ok := builtins[name]; !ok {
 		delete(in.commands, name)
 		return

@@ -5,11 +5,13 @@
 // implementations into a tcl.Interp and interprets templates top-level
 // command by top-level command, so that each command carries an internal
 // ID for the programmable-abort machinery (§4.3.4). Compile parses a
-// template once into per-command compiled scripts that every run shares.
+// template once into per-command compiled scripts that every run shares,
+// and parses each step command whose words are all literal into its Step.
 package tdl
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -47,6 +49,12 @@ type Compiled struct {
 	Scripts []*tcl.Script
 	// Barrier[i] is StatusBarrier(Commands[i]).
 	Barrier []bool
+	// Steps[i] is Commands[i] parsed by ParseStep when it is a step
+	// command with only literal words that parses; nil otherwise. Such a
+	// command means the same in every run, so a run registers Steps[i]
+	// instead of evaluating Scripts[i] — unless the template redefined
+	// step with proc.
+	Steps []*Step
 }
 
 // Compile parses a template's text and compiles its body commands. The
@@ -61,10 +69,16 @@ func Compile(script string) (*Compiled, error) {
 		Text:     script,
 		Scripts:  make([]*tcl.Script, len(t.Commands)),
 		Barrier:  make([]bool, len(t.Commands)),
+		Steps:    make([]*Step, len(t.Commands)),
 	}
 	for i, raw := range t.Commands {
 		c.Scripts[i] = s.Command(i + 1) // command 0 is the task header
 		c.Barrier[i] = StatusBarrier(raw)
+		if words, ok := c.Scripts[i].LiteralWords(); ok && words[0] == "step" {
+			// A step that fails to parse is left to fail in the run,
+			// where the interpreted command reports it.
+			c.Steps[i], _ = ParseStep(words[1:])
+		}
 	}
 	return c, nil
 }
@@ -138,6 +152,31 @@ type StepSpec struct {
 	// Priority orders re-migration and placement preferences (§1.4's
 	// "priority mechanism to prioritize tool execution"); default 0.
 	Priority int
+}
+
+// Step is a parsed step command together with its invocation split into
+// the tool name and its options (SplitInvocation). It is immutable: a
+// compiled template's Steps are shared by every run.
+type Step struct {
+	Spec    *StepSpec
+	Tool    string
+	Options []string // capacity clipped, so appending copies
+}
+
+// ParseStep parses the evaluated words following "step" and splits the
+// step's invocation details.
+func ParseStep(args []string) (*Step, error) {
+	spec, err := ParseStepArgs(args)
+	if err != nil {
+		return nil, err
+	}
+	io := make([]string, 0, len(spec.Inputs)+len(spec.Outputs))
+	io = append(append(io, spec.Inputs...), spec.Outputs...)
+	tool, options, err := SplitInvocation(spec.Invocation, io)
+	if err != nil {
+		return nil, err
+	}
+	return &Step{Spec: spec, Tool: tool, Options: slices.Clip(options)}, nil
 }
 
 // ParseStepArgs parses the evaluated words following "step".

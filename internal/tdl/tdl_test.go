@@ -1,6 +1,8 @@
 package tdl
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -190,5 +192,36 @@ func TestParseStepPriority(t *testing.T) {
 	}
 	if _, err := ParseStepArgs([]string{"S", "a", "b", "t b a", "Priority"}); err == nil {
 		t.Error("missing priority accepted")
+	}
+}
+
+// TestCompileLiteralSteps: Compile pre-parses exactly the step commands
+// whose words are all literal and that parse; the rest keep only their
+// compiled script.
+func TestCompileLiteralSteps(t *testing.T) {
+	c, err := Compile(`task T {A} {Out}
+step {1 Build} {A} {m1} {bdsyn -o m1 A}
+step Opt {m1} {m2} "misII -o m2 m1" {Priority 2}
+step Var {m2} {m3} "$tool -o m3 m2"
+step Sub {m3} {m4} [list misII -o m4 m3]
+step Short {m4} {Out}
+set x 1
+if {$status == 0} {step In {A} {m5} {bdsyn -o m5 A}}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := make([]string, len(c.Steps))
+	for i, st := range c.Steps {
+		if st != nil {
+			pre[i] = st.Spec.Name + ":" + st.Tool + ":" + strings.Join(st.Options, ",")
+		}
+	}
+	want := []string{"Build:bdsyn:-o", "Opt:misII:-o", "", "", "", "", ""}
+	if !reflect.DeepEqual(pre, want) {
+		t.Fatalf("pre-parsed steps %q, want %q", pre, want)
+	}
+	if st := c.Steps[1]; st.Spec.Priority != 2 || cap(st.Options) != len(st.Options) {
+		t.Errorf("Opt: priority %d, options len %d cap %d", st.Spec.Priority, len(st.Options), cap(st.Options))
 	}
 }
