@@ -526,8 +526,8 @@ func expInference() {
 			mid := (lo + hi) / 2
 			l := build(lo, mid)
 			r := build(mid, hi)
-			eng.AddConfiguration(l, ref, "compose")
-			eng.AddConfiguration(r, ref, "compose")
+			must(eng.AddConfiguration(l, ref, "compose"))
+			must(eng.AddConfiguration(r, ref, "compose"))
 			return ref
 		}
 		root := build(0, leaves)
@@ -562,7 +562,7 @@ func countCompositeEvals(eng *infer.Engine, root, leaf oct.Ref, full bool) int {
 	if full {
 		eng.InvalidateAll()
 	} else {
-		eng.AddConfiguration(leaf, parentOf(eng, leaf), "compose") // re-link triggers invalidateUp
+		must(eng.AddConfiguration(leaf, parentOf(eng, leaf), "compose")) // re-link triggers invalidateUp
 	}
 	return eng.CountedPropagate(root, "power")
 }

@@ -1,9 +1,8 @@
 // Package client is the Go client of the papyrusd wire API
 // (internal/server, docs/SERVER.md): typed calls for session lifecycle,
 // object import, admission-controlled TDL task submission, history and
-// ADG queries, memo/stats introspection, and SDS cooperation, plus a
-// resumable notification subscription that decodes the WAL-framed
-// streaming transport and reconnects across mid-stream disconnects. The
+// ADG queries, memo/stats introspection, and SDS cooperation, including
+// the resumable long-poll notification subscription (Poll). The
 // E13 load test (internal/oracle TestServeLoad) drives hundreds of
 // designer sessions through it; it is also the embedding surface for
 // agentic designer flows that react to notifications over the wire.

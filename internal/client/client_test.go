@@ -1,15 +1,11 @@
 package client_test
 
 // Error-path coverage for the wire client: unreachable servers, throttled
-// (429) retry behavior with injected backoff, malformed-request 4xx
-// mapping, and mid-stream disconnect/reconnect of the SDS subscription
-// (both against a fault-injecting fake server and against the real
-// server with forcibly dropped connections).
+// (429) retry behavior with injected backoff, and malformed-request 4xx
+// mapping.
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -20,7 +16,6 @@ import (
 
 	"papyrus/internal/client"
 	"papyrus/internal/server"
-	"papyrus/internal/wal"
 )
 
 func TestServerUnavailable(t *testing.T) {
@@ -155,163 +150,4 @@ func TestThrottleBudgetExhausted(t *testing.T) {
 	}
 }
 
-// flakyStream fakes the subscription endpoint: each connection delivers
-// up to two events past `since` (capped at total), then drops the
-// connection mid-stream — with a torn half-frame appended to prove the
-// longest-valid-prefix decoder discards it.
-type flakyStream struct {
-	mu       sync.Mutex
-	total    int
-	connects int
-}
-
-func (f *flakyStream) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	f.mu.Lock()
-	f.connects++
-	f.mu.Unlock()
-	since := 0
-	fmt.Sscanf(r.URL.Query().Get("since"), "%d", &since)
-
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	buf := wal.AppendFrame(nil, wal.Record{
-		Type:    wal.RecordType(server.FrameHello),
-		Payload: mustMarshal(server.StreamHello{Space: "sp", Object: "obj", Since: since}),
-	})
-	for seq := since + 1; seq <= since+2 && seq <= f.total; seq++ {
-		buf = wal.AppendFrame(buf, wal.Record{
-			Type: wal.RecordType(server.FrameNotify),
-			Payload: mustMarshal(server.NotifyEvent{
-				Space: "sp", Object: "obj", Seq: seq,
-				Ref: server.RefJSON{Name: "obj", Version: seq},
-			}),
-		})
-	}
-	// Torn tail: the first 3 bytes of a frame that never finishes.
-	torn := wal.AppendFrame(nil, wal.Record{
-		Type:    wal.RecordType(server.FrameNotify),
-		Payload: []byte(`{"seq": 999}`),
-	})
-	buf = append(buf, torn[:3]...)
-	w.Write(buf) //nolint:errcheck
-	// Returning drops the connection: a mid-stream disconnect.
-}
-
-func TestSubscriptionReconnectsAcrossDisconnects(t *testing.T) {
-	fake := &flakyStream{total: 5}
-	mux := http.NewServeMux()
-	mux.Handle("/v1/spaces/sp/stream", fake)
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	cl := client.New(ts.URL)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	sub := cl.Subscribe(ctx, "sp", "s-1", "obj", client.SubscribeConfig{
-		ReconnectWait: 5 * time.Millisecond,
-	})
-
-	var seqs []int
-	for ev := range sub.Events {
-		seqs = append(seqs, ev.Seq)
-		if len(seqs) == fake.total {
-			break
-		}
-	}
-	sub.Close()
-	for i, seq := range seqs {
-		if seq != i+1 {
-			t.Fatalf("events arrived as %v, want 1..%d exactly once in order", seqs, fake.total)
-		}
-	}
-	fake.mu.Lock()
-	connects := fake.connects
-	fake.mu.Unlock()
-	if connects < 3 {
-		t.Fatalf("connects = %d, want >= 3 (2 events per connection)", connects)
-	}
-}
-
-// TestSubscriptionGivesUp: a stream that never yields an event exhausts
-// MaxReconnects and reports why.
-func TestSubscriptionGivesUp(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK) // empty 200, then disconnect
-	}))
-	defer ts.Close()
-
-	cl := client.New(ts.URL)
-	sub := cl.Subscribe(context.Background(), "sp", "s-1", "obj", client.SubscribeConfig{
-		MaxReconnects: 2, ReconnectWait: time.Millisecond,
-	})
-	for range sub.Events {
-		t.Fatal("event from an empty stream")
-	}
-	if sub.Err() == nil {
-		t.Fatal("exhausted subscription reported no error")
-	}
-}
-
-// TestSubscriptionRealServerReconnect drives the real server and kills
-// every open connection mid-stream: the subscription must resume and
-// deliver the post-disconnect contribution exactly once.
-func TestSubscriptionRealServerReconnect(t *testing.T) {
-	srv, err := server.New(server.Config{Shards: 1, Nodes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer func() { ts.Close(); srv.Close() }()
-	cl := client.New(ts.URL)
-
-	alice, err := cl.OpenSession("team", "alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Import(alice.ID, server.ImportRequest{Name: "/a/d1", Kind: "text", Data: "v1"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Contribute("sp", server.ContributeRequest{Session: alice.ID, Object: "obj", From: "/a/d1"}); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	sub := cl.Subscribe(ctx, "sp", alice.ID, "obj", client.SubscribeConfig{
-		ReconnectWait: 5 * time.Millisecond,
-	})
-	defer sub.Close()
-
-	ev := <-sub.Events
-	if ev.Seq != 1 {
-		t.Fatalf("backlog event = %+v, want seq 1", ev)
-	}
-
-	// Hard-drop every connection, contribute again, expect seq 2 on the
-	// reconnected stream.
-	ts.CloseClientConnections()
-	if _, err := cl.Import(alice.ID, server.ImportRequest{Name: "/a/d2", Kind: "text", Data: "v2"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Contribute("sp", server.ContributeRequest{Session: alice.ID, Object: "obj", From: "/a/d2"}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-sub.Events:
-		if ev.Seq != 2 {
-			t.Fatalf("post-reconnect event = %+v, want seq 2", ev)
-		}
-	case <-ctx.Done():
-		t.Fatal("no event after reconnect")
-	}
-}
-
 func jsonBody(s string) io.Reader { return strings.NewReader(s) }
-
-func mustMarshal(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}

@@ -536,10 +536,31 @@ func (e *Engine) CountedPropagate(ref oct.Ref, name string) int {
 }
 
 // AddConfiguration registers a configuration relationship directly (used
-// when composites are assembled outside tool runs, e.g. thread joins).
-func (e *Engine) AddConfiguration(component, composite oct.Ref, via string) {
+// when composites are assembled outside tool runs, e.g. thread joins). It
+// refuses a link that would close a cycle: one from a ref to itself, or
+// to a composite that already contains component.
+func (e *Engine) AddConfiguration(component, composite oct.Ref, via string) error {
+	if e.containedIn(composite, component, map[oct.Ref]bool{}) {
+		return fmt.Errorf("infer: configuration %s -> %s would close a cycle", component, composite)
+	}
 	e.addRel(Relationship{Kind: RelConfiguration, From: component, To: composite, Via: via})
 	e.invalidateUp(composite)
+	return nil
+}
+
+// containedIn reports whether ref is, or configuration edges lead from
+// it up to, composite.
+func (e *Engine) containedIn(ref, composite oct.Ref, seen map[oct.Ref]bool) bool {
+	if ref == composite {
+		return true
+	}
+	seen[ref] = true
+	for i := e.nodes[ref].out; i != 0; i = e.at(i).nextOut {
+		if x := e.at(i); x.kind == codeConfiguration && !seen[x.to] && e.containedIn(x.to, composite, seen) {
+			return true
+		}
+	}
+	return false
 }
 
 // invalidateUp clears cached propagated attributes of ref and every

@@ -251,9 +251,11 @@ func TestFig65PropagatedAttributes(t *testing.T) {
 	alu := oct.Ref{Name: "alu", Version: 1}
 	sh := oct.Ref{Name: "sh", Version: 1}
 	adder := oct.Ref{Name: "adder", Version: 1}
-	e.engine.AddConfiguration(alu, chip, "compose")
-	e.engine.AddConfiguration(sh, chip, "compose")
-	e.engine.AddConfiguration(adder, alu, "compose")
+	for _, link := range [][2]oct.Ref{{alu, chip}, {sh, chip}, {adder, alu}} {
+		if err := e.engine.AddConfiguration(link[0], link[1], "compose"); err != nil {
+			t.Fatal(err)
+		}
+	}
 	e.attrs.Set(adder, "power", "30", "")
 	e.attrs.Set(sh, "power", "12", "")
 
@@ -270,7 +272,9 @@ func TestFig65PropagatedAttributes(t *testing.T) {
 	// Cached now; a new component version invalidates up the hierarchy.
 	adder2 := oct.Ref{Name: "adder", Version: 2}
 	e.attrs.Set(adder2, "power", "50", "")
-	e.engine.AddConfiguration(adder2, alu, "compose")
+	if err := e.engine.AddConfiguration(adder2, alu, "compose"); err != nil {
+		t.Fatal(err)
+	}
 	got, err = e.engine.PropagatedAttr(chip, "power")
 	if err != nil {
 		t.Fatal(err)
@@ -281,6 +285,33 @@ func TestFig65PropagatedAttributes(t *testing.T) {
 	// Unknown rule.
 	if _, err := e.engine.PropagatedAttr(chip, "aroma"); err == nil {
 		t.Error("unknown propagated attribute accepted")
+	}
+}
+
+// TestAddConfigurationRefusesCycles: a link that would make a composite
+// contain itself, directly or through its components, is an error and
+// leaves the hierarchy and its cached attributes as they were.
+func TestAddConfigurationRefusesCycles(t *testing.T) {
+	e := newEnv(t)
+	chip := oct.Ref{Name: "chip", Version: 1}
+	alu := oct.Ref{Name: "alu", Version: 1}
+	adder := oct.Ref{Name: "adder", Version: 1}
+	for _, link := range [][2]oct.Ref{{alu, chip}, {adder, alu}} {
+		if err := e.engine.AddConfiguration(link[0], link[1], "compose"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.attrs.Set(adder, "power", "30", "")
+	for _, link := range [][2]oct.Ref{{chip, alu}, {chip, adder}, {alu, alu}} {
+		if err := e.engine.AddConfiguration(link[0], link[1], "compose"); err == nil {
+			t.Errorf("AddConfiguration(%s, %s) closed a cycle", link[0], link[1])
+		}
+	}
+	if got, err := e.engine.PropagatedAttr(chip, "power"); err != nil || got != "30" {
+		t.Errorf("chip power = %q, %v; want 30", got, err)
+	}
+	if comps := e.engine.RelatedBy(RelConfiguration, alu); len(comps) != 1 || comps[0] != adder {
+		t.Errorf("alu components = %v, want [%s]", comps, adder)
 	}
 }
 

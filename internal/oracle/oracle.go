@@ -27,12 +27,6 @@ import (
 // and server.* holds wall-clock histograms that exist only on the wire.
 var excluded = []string{"memo.", "wal.", "server."}
 
-// WireStatsExempt is the one profile whose wire stats differ from its
-// in-process stats: every in-process agentic designer installs its own SDS
-// watch, while papyrusd installs one observer per object, so the
-// sds.notify.fire counts differ. Its version maps still match.
-const WireStatsExempt = "agentic"
-
 func sum(text string) string {
 	s := sha256.Sum256([]byte(text))
 	return hex.EncodeToString(s[:])

@@ -10,8 +10,8 @@ import (
 // workload profile expanded from one spec runs twice in-process at 1
 // worker (repeat), once at 4 (worker invariance) and once over the wire
 // at 4 (cross-path). Every cell must leave the reference's fingerprint
-// and step count; WireStatsExempt's wire cell is compared on its version
-// map only. The profile's best in-process cell must reach 200 steps/sec.
+// and step count. The profile's best in-process cell must reach 200
+// steps/sec.
 func TestWorkloadFloor(t *testing.T) {
 	const floor = 200.0
 	for _, profile := range workload.Profiles() {
@@ -33,11 +33,7 @@ func TestWorkloadFloor(t *testing.T) {
 				res, stepsPerSec := run(c)
 				t.Logf("workers=%d wire=%v: %d rounds, %d steps, %.1f steps/sec",
 					c.Workers, c.Wire, res.Rounds, res.Steps, stepsPerSec)
-				got := res.Fingerprint
-				if c.Wire && profile == WireStatsExempt {
-					got.Stats = ref.Stats
-				}
-				if d := got.Diff(ref.Fingerprint); d != "" {
+				if d := res.Diff(ref.Fingerprint); d != "" {
 					t.Errorf("workers=%d wire=%v diverged: %s", c.Workers, c.Wire, d)
 				}
 				if res.Steps != ref.Steps {

@@ -8,10 +8,11 @@
 // owning designers.
 //
 // Watch installs a notification flag without a Retrieve's MOVE; the
-// served front-end (internal/server, docs/SERVER.md) builds its
-// long-poll and streaming subscription endpoints on it, diffing the
-// per-object Versions sequence so reconnecting wire clients resume
-// exactly once, in order. Spaces are scoped to their owning store — in
+// served front-end (internal/server, docs/SERVER.md) gives each polling
+// session its own flag and builds its long-poll endpoint on it, diffing
+// the per-object Versions sequence so wire clients resume exactly once,
+// in order. Closing a session drops its flags (DropWatches) and its
+// registration (Unregister). Spaces are scoped to their owning store — in
 // the served deployment, to one engine shard.
 package sds
 
@@ -236,8 +237,8 @@ func (s *Space) Retrieve(threadID int, object string, version int, destName stri
 // Watch installs a notification flag without the MOVE a Retrieve
 // performs: the thread is notified of every future Contribute of object
 // that passes the predicates. This is the subscription primitive the
-// served front-end (internal/server) exposes as SDS long-poll and
-// streaming endpoints; a designer holding only a flag is exactly the
+// served front-end (internal/server) exposes as the SDS long-poll
+// endpoint; a designer holding only a flag is exactly the
 // §3.3.4.2 notification contract with the retrieval deferred. The thread
 // must be registered with the space.
 func (s *Space) Watch(threadID int, object string, notify Notifier, preds ...Predicate) error {

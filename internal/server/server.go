@@ -8,8 +8,8 @@
 // thread-ID base, and an admission-control layer (per-tenant token
 // buckets, bounded accept queue with load shedding, per-tenant fair
 // queuing) stands in front of the task-manager worker pools. SDS
-// notification subscriptions stream over chunked HTTP using the
-// write-ahead log's length-prefix/CRC framing (internal/wal).
+// notification subscriptions are long-polls over each session's own
+// notification flags.
 //
 // Every tenant's wire view is a projection of the deterministic engine:
 // the server adds routing, admission, and encoding, never semantics —
@@ -25,7 +25,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -37,6 +36,7 @@ import (
 	"papyrus/internal/memo"
 	"papyrus/internal/obs"
 	"papyrus/internal/oct"
+	"papyrus/internal/sds"
 	"papyrus/internal/task"
 )
 
@@ -80,9 +80,6 @@ type Config struct {
 	// Metrics receives request counters and wire latency histograms
 	// (nil = no metrics).
 	Metrics *obs.Registry
-	// StreamHeartbeat is the idle-liveness frame interval of
-	// subscription streams (default 15s).
-	StreamHeartbeat time.Duration
 	// SweepEvery arms the background reclaimer: at this wall-clock
 	// interval every shard runs one budgeted reclamation slice
 	// (docs/RECLAIM.md), physically deleting versions hidden longer
@@ -115,6 +112,15 @@ type session struct {
 	// session is one designer, and its private virtual-time stack is
 	// not safe for concurrent invocations.
 	mu sync.Mutex
+
+	// sdsMu guards the SDS state below apart from mu, so a poll never
+	// waits behind the session's running task. spaces holds every space
+	// the session's thread registered with, hubs its notification
+	// flags; closed stops spaceFor registering again after close.
+	sdsMu  sync.Mutex
+	spaces map[string]*sds.Space
+	hubs   map[hubKey]*hub
+	closed bool
 }
 
 // Server serves the Papyrus wire API over any net/http listener.
@@ -127,7 +133,6 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[string]*session
-	hubs     map[string]*hub
 	nextID   int
 	closed   bool
 
@@ -142,9 +147,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
-	}
-	if cfg.StreamHeartbeat <= 0 {
-		cfg.StreamHeartbeat = 15 * time.Second
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -274,7 +276,6 @@ func (s *Server) buildMux() {
 	mux.HandleFunc("POST /v1/spaces/{space}/retrieve", s.handleRetrieve)
 	mux.HandleFunc("GET /v1/spaces/{space}/objects", s.handleSpaceObjects)
 	mux.HandleFunc("GET /v1/spaces/{space}/poll", s.handlePoll)
-	mux.HandleFunc("GET /v1/spaces/{space}/stream", s.handleStream)
 	s.mux = mux
 }
 
@@ -284,11 +285,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.metrics.Inc("server.req.count")
 	s.mux.ServeHTTP(w, r)
-	// Streaming responses measure time-to-subscribe, not stream life;
-	// they account themselves and skip the generic histogram.
-	if !strings.HasSuffix(r.URL.Path, "/stream") {
-		s.metrics.Observe("server.req.us", time.Since(start).Microseconds())
-	}
+	s.metrics.Observe("server.req.us", time.Since(start).Microseconds())
 }
 
 // --- response plumbing -------------------------------------------------
@@ -420,6 +417,8 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 		},
 		sess:   cs,
 		thread: th,
+		spaces: make(map[string]*sds.Space),
+		hubs:   make(map[hubKey]*hub),
 	}
 	s.mu.Lock()
 	s.sessions[id] = sess
@@ -464,6 +463,7 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, CodeNotFound, fmt.Sprintf("no session %q", id))
 		return
 	}
+	sess.closeSDS()
 	s.metrics.Inc("server.session.close")
 	s.writeJSON(w, http.StatusOK, sess.info)
 }

@@ -1,8 +1,8 @@
 package server_test
 
 import (
-	"context"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -190,7 +190,7 @@ func TestTenantsShardDisjointly(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	_, cl := newTestServer(t, server.Config{})
+	srv, cl := newTestServer(t, server.Config{})
 	if _, err := cl.OpenSession("", ""); !isStatus(err, 400, server.CodeBadRequest) {
 		t.Fatalf("empty tenant = %v, want 400", err)
 	}
@@ -206,6 +206,25 @@ func TestBadRequests(t *testing.T) {
 	}
 	if _, err := cl.SubmitTask(info.ID, server.TaskRequest{Task: "NoSuchTask"}); !isStatus(err, 422, server.CodeBadRequest) {
 		t.Fatalf("unknown task = %v, want 422", err)
+	}
+	// A bad resume point or timeout is rejected before any wait; an
+	// absent or zero one is not.
+	poll := func(query string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest("GET",
+			"/v1/spaces/sp/poll?session="+info.ID+"&object=o&"+query, nil))
+		return w
+	}
+	for _, query := range []string{"after=-1", "after=x", "after=1.5", "timeout_ms=-1", "timeout_ms=soon"} {
+		w := poll(query)
+		if w.Code != 400 || !strings.Contains(w.Body.String(), server.CodeBadRequest) {
+			t.Errorf("poll ?%s = %d %s, want 400 bad_request", query, w.Code, w.Body)
+		}
+	}
+	for _, query := range []string{"timeout_ms=1", "after=&timeout_ms=1", "after=0&timeout_ms=1"} {
+		if w := poll(query); w.Code != 200 {
+			t.Errorf("poll ?%s = %d %s, want 200", query, w.Code, w.Body)
+		}
 	}
 }
 
@@ -243,7 +262,7 @@ func TestAdmissionThrottleOverWire(t *testing.T) {
 }
 
 func TestSDSCooperationAndSubscription(t *testing.T) {
-	_, cl := newTestServer(t, server.Config{Shards: 1})
+	srv, cl := newTestServer(t, server.Config{Shards: 1})
 	alice, err := cl.OpenSession("team", "alice")
 	if err != nil {
 		t.Fatal(err)
@@ -256,11 +275,25 @@ func TestSDSCooperationAndSubscription(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Bob subscribes before anything is contributed.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sub := cl.Subscribe(ctx, "floorplan", bob.ID, "netlist", client.SubscribeConfig{})
-	defer sub.Close()
+	// Bob parks a poll before anything is contributed; the contribution
+	// must wake it well before its timeout.
+	type result struct {
+		resp server.PollResponse
+		err  error
+	}
+	parked := make(chan result, 1)
+	go func() {
+		resp, err := cl.Poll("floorplan", bob.ID, "netlist", 0, 30*time.Second)
+		parked <- result{resp, err}
+	}()
+	space := srv.ShardSystem(0).Space("floorplan")
+	for !space.Registered(bob.Thread) {
+		select {
+		case got := <-parked:
+			t.Fatalf("poll returned before any contribution: %+v, %v", got.resp, got.err)
+		case <-time.After(time.Millisecond):
+		}
+	}
 
 	con, err := cl.Contribute("floorplan", server.ContributeRequest{
 		Session: alice.ID, Object: "netlist", From: "/alice/draft",
@@ -273,15 +306,21 @@ func TestSDSCooperationAndSubscription(t *testing.T) {
 	}
 
 	select {
-	case ev := <-sub.Events:
-		if ev.Seq != 1 || ev.Object != "netlist" || ev.Space != "floorplan" {
+	case got := <-parked:
+		if got.err != nil {
+			t.Fatalf("parked poll: %v", got.err)
+		}
+		if len(got.resp.Events) != 1 || got.resp.Next != 1 {
+			t.Fatalf("parked poll = %+v", got.resp)
+		}
+		if ev := got.resp.Events[0]; ev.Seq != 1 || ev.Object != "netlist" || ev.Space != "floorplan" {
 			t.Fatalf("event = %+v", ev)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("no subscription event within 5s")
+		t.Fatal("parked poll not woken within 5s")
 	}
 
-	// The long-poll surface sees the same contribution as a diff.
+	// A fresh poll sees the same contribution as a diff.
 	poll, err := cl.Poll("floorplan", bob.ID, "netlist", 0, 2*time.Second)
 	if err != nil {
 		t.Fatalf("poll: %v", err)
@@ -308,6 +347,50 @@ func TestSDSCooperationAndSubscription(t *testing.T) {
 	objs, err := cl.SpaceObjects("floorplan", bob.ID)
 	if err != nil || len(objs.Objects["netlist"]) != 1 {
 		t.Fatalf("space objects = %+v, %v", objs, err)
+	}
+}
+
+// TestCloseSessionDropsSDSFlags: closing a session drops its notification
+// flags and space registrations, so a later contribution neither fires
+// nor counts a notification for it.
+func TestCloseSessionDropsSDSFlags(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, cl := newTestServer(t, server.Config{Shards: 1, Metrics: reg})
+	alice, err := cl.OpenSession("team", "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob, err := cl.OpenSession("team", "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	contribute := func(name string) {
+		t.Helper()
+		if _, err := cl.Import(alice.ID, server.ImportRequest{Name: name, Kind: "text", Data: name}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Contribute("floorplan", server.ContributeRequest{
+			Session: alice.ID, Object: "netlist", From: name,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cl.Poll("floorplan", bob.ID, "netlist", 0, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	contribute("/alice/d1")
+	if n := reg.Counter("sds.notify.fire"); n != 1 {
+		t.Fatalf("sds.notify.fire = %d with bob watching, want 1", n)
+	}
+	if err := cl.CloseSession(bob.ID); err != nil {
+		t.Fatal(err)
+	}
+	contribute("/alice/d2")
+	if n := reg.Counter("sds.notify.fire"); n != 1 {
+		t.Errorf("sds.notify.fire = %d after bob closed, want 1", n)
+	}
+	if srv.ShardSystem(0).Space("floorplan").Registered(bob.Thread) {
+		t.Error("closed session's thread is still registered with the space")
 	}
 }
 

@@ -1,43 +1,34 @@
 package server
 
 // stream.go is the cooperation surface of the wire API: SDS contribute/
-// retrieve (the §3.3.4.2 MOVE), plus the two notification-subscription
-// transports — long-poll and chunked streaming. The streaming transport
-// frames each event with the write-ahead log's length-prefix/CRC32C
-// encoding (wal.AppendFrame): a reader accepts the longest valid prefix
-// of frames, so a torn TCP teardown never surfaces a half-written event,
-// exactly the property the WAL relies on for torn log tails.
+// retrieve (the §3.3.4.2 MOVE) and the long-poll notification
+// subscription. Each session that polls an object holds its own SDS
+// notification flag on it, under its own design thread, so the wire
+// fires and counts notifications exactly as in-process threads do.
 //
-// Delivery contract: both transports are resumable diffs over the
-// space's contribution sequence, not fire-and-forget pushes — a client
-// that reconnects with the last sequence number it saw observes every
+// Delivery contract: a poll is a resumable diff over the object's
+// contribution sequence, not a fire-and-forget push — a client that
+// polls again after the last sequence number it saw observes every
 // contribution exactly once, in order. SDS spaces are scoped to a shard;
 // sessions cooperating through one space must live on the same shard
 // (in practice: share a tenant).
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
 
 	"papyrus/internal/oct"
 	"papyrus/internal/sds"
-	"papyrus/internal/wal"
 )
 
-// observerThread is the synthetic SDS thread ID the server registers in
-// every space it watches: subscription hubs hold one permanent
-// notification flag per (space, object) under this ID, so designer
-// threads' own flags are never disturbed. Session thread IDs are
-// allocated from 1 upward, so the sentinel cannot collide.
-const observerThread = -1
-
-// hub fans a space-object's change signal out to any number of waiting
-// poll/stream handlers: broadcast closes the current generation channel,
-// waiters grab the channel, wait on it, then re-diff the version list.
+// hub fans one session's notification flag on a space object out to
+// that session's waiting polls: broadcast closes the current generation
+// channel, waiters grab the channel, wait on it, then re-diff the version
+// list.
 type hub struct {
 	mu sync.Mutex
 	ch chan struct{}
@@ -58,35 +49,56 @@ func (h *hub) broadcast() {
 	h.mu.Unlock()
 }
 
-// hubFor returns (creating on demand) the hub of one shard-space-object,
-// installing the permanent observer watch that ties sds notification to
-// hub broadcast.
-func (s *Server) hubFor(shard int, space *sds.Space, object string) *hub {
-	key := fmt.Sprintf("%d/%s/%s", shard, space.ID(), object)
-	s.mu.Lock()
-	if s.hubs == nil {
-		s.hubs = make(map[string]*hub)
-	}
-	h, ok := s.hubs[key]
+// hubKey names one space object of a session's shard.
+type hubKey struct{ space, object string }
+
+// hubFor returns (creating on demand) the session's hub for a space
+// object. Creating it installs the session thread's own SDS watch, so a
+// contribution fires one notification per watching session, exactly as
+// it does for in-process design threads. space must come from spaceFor.
+func (sess *session) hubFor(space *sds.Space, object string) *hub {
+	sess.sdsMu.Lock()
+	defer sess.sdsMu.Unlock()
+	key := hubKey{space.ID(), object}
+	h, ok := sess.hubs[key]
 	if !ok {
 		h = newHub()
-		s.hubs[key] = h
-		space.Register(observerThread)
-		// Watch cannot fail for a registered thread.
-		_ = space.Watch(observerThread, object, func(_, _ string, _ oct.Ref) {
+		sess.hubs[key] = h
+		// Watch fails only after handleCloseSession unregistered the
+		// thread; the hub then never fires and the poll times out.
+		_ = space.Watch(sess.info.Thread, object, func(_, _ string, _ oct.Ref) {
 			h.broadcast()
 		})
 	}
-	s.mu.Unlock()
 	return h
 }
 
 // spaceFor resolves the session's shard-scoped space and registers the
-// session's design thread with it.
+// session's design thread with it, unless the session has closed.
 func (s *Server) spaceFor(sess *session, spaceID string) *sds.Space {
 	sp := s.shards[sess.info.Shard].sys.Space(spaceID)
-	sp.Register(sess.info.Thread)
+	sess.sdsMu.Lock()
+	defer sess.sdsMu.Unlock()
+	if !sess.closed {
+		sp.Register(sess.info.Thread)
+		sess.spaces[spaceID] = sp
+	}
 	return sp
+}
+
+// closeSDS drops every notification flag and space registration the
+// session's thread holds, so a closed session is no longer notified
+// (or counted in sds.notify.fire) when others contribute.
+func (sess *session) closeSDS() {
+	sess.sdsMu.Lock()
+	defer sess.sdsMu.Unlock()
+	sess.closed = true
+	for key := range sess.hubs {
+		sess.spaces[key.space].DropWatches(sess.info.Thread, key.object)
+	}
+	for _, sp := range sess.spaces {
+		sp.Unregister(sess.info.Thread)
+	}
 }
 
 // sessionParam resolves a wire session named in a query parameter or
@@ -100,6 +112,17 @@ func (s *Server) sessionParam(w http.ResponseWriter, id string) (*session, bool)
 		return nil, false
 	}
 	return sess, true
+}
+
+// queryCount parses an optional non-negative integer query parameter;
+// absent or empty reads as 0.
+func queryCount(q url.Values, key string) (int, bool) {
+	v := q.Get(key)
+	if v == "" {
+		return 0, true
+	}
+	n, err := strconv.Atoi(v)
+	return n, err == nil && n >= 0
 }
 
 // eventsAfter diffs a space object's contribution list against a resume
@@ -212,13 +235,18 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, CodeBadRequest, "object is required")
 		return
 	}
-	after, _ := strconv.Atoi(q.Get("after"))
+	after, okAfter := queryCount(q, "after")
+	ms, okTimeout := queryCount(q, "timeout_ms")
+	if !okAfter || !okTimeout {
+		s.writeError(w, http.StatusBadRequest, CodeBadRequest, "after and timeout_ms must be non-negative integers")
+		return
+	}
 	timeout := 30 * time.Second
-	if ms, err := strconv.Atoi(q.Get("timeout_ms")); err == nil && ms > 0 {
+	if ms > 0 {
 		timeout = time.Duration(ms) * time.Millisecond
 	}
 	space := s.spaceFor(sess, r.PathValue("space"))
-	h := s.hubFor(sess.info.Shard, space, object)
+	h := sess.hubFor(space, object)
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for {
@@ -239,80 +267,4 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// handleStream serves a chunked subscription stream: a hello frame, the
-// backlog after `since`, then live events as they land, with heartbeat
-// frames while idle. Frames use the WAL encoding; payloads are JSON.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	sess, ok := s.sessionParam(w, q.Get("session"))
-	if !ok {
-		return
-	}
-	object := q.Get("object")
-	if object == "" {
-		s.writeError(w, http.StatusBadRequest, CodeBadRequest, "object is required")
-		return
-	}
-	flusher, canFlush := w.(http.Flusher)
-	if !canFlush {
-		s.writeError(w, http.StatusInternalServerError, CodeInternal, "response writer cannot stream")
-		return
-	}
-	since, _ := strconv.Atoi(q.Get("since"))
-	space := s.spaceFor(sess, r.PathValue("space"))
-	h := s.hubFor(sess.info.Shard, space, object)
-
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Papyrus-Stream", "wal-framed/1")
-	w.WriteHeader(http.StatusOK)
-	s.metrics.Inc("server.sds.stream.open")
-
-	// One encode buffer per connection, reused for every frame: the
-	// stream handler owns the connection, so frames are written one at
-	// a time and the scratch never escapes (docs/PERFORMANCE.md).
-	var frameBuf []byte
-	writeFrame := func(typ uint8, payload []byte) bool {
-		frameBuf = wal.AppendFrame(frameBuf[:0], wal.Record{Type: wal.RecordType(typ), Payload: payload})
-		if _, err := w.Write(frameBuf); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
-	}
-	if !writeFrame(FrameHello, mustJSON(StreamHello{Space: space.ID(), Object: object, Since: since})) {
-		return
-	}
-	last := since
-	heartbeat := time.NewTicker(s.cfg.StreamHeartbeat)
-	defer heartbeat.Stop()
-	for {
-		sig := h.wait()
-		for _, ev := range eventsAfter(space, object, last) {
-			if !writeFrame(FrameNotify, mustJSON(ev)) {
-				return
-			}
-			last = ev.Seq
-			s.metrics.Inc("server.sds.stream.event")
-		}
-		select {
-		case <-sig:
-		case <-heartbeat.C:
-			if !writeFrame(FrameHeartbeat, nil) {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		// All stream payload types marshal by construction.
-		panic(err)
-	}
-	return b
 }

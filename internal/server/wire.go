@@ -3,9 +3,7 @@ package server
 // wire.go is the versioned JSON wire schema of the papyrusd API (v1).
 // Every request/response body exchanged by internal/server and
 // internal/client is declared here, so the two sides cannot drift and
-// docs/SERVER.md has a single source of truth to describe. Streaming
-// endpoints frame these payloads with the write-ahead log's
-// length-prefix/CRC encoding (internal/wal, docs/SERVER.md §Streaming).
+// docs/SERVER.md has a single source of truth to describe.
 
 import (
 	"papyrus/internal/history"
@@ -218,7 +216,7 @@ type ContributeRequest struct {
 type ContributeResponse struct {
 	Ref RefJSON `json:"ref"`
 	// Seq is the 1-based contribution sequence number of Object within
-	// the space — the resume token for poll/stream subscriptions.
+	// the space — the resume token for poll subscriptions.
 	Seq int `json:"seq"`
 }
 
@@ -244,14 +242,14 @@ type SpaceObjectsResponse struct {
 	Objects map[string][]RefJSON `json:"objects"`
 }
 
-// NotifyEvent is one SDS change notification, delivered by both the
-// long-poll and the streaming subscription surface.
+// NotifyEvent is one SDS change notification, delivered by the long-poll
+// subscription surface.
 type NotifyEvent struct {
 	Space  string  `json:"space"`
 	Object string  `json:"object"`
 	Ref    RefJSON `json:"ref"`
 	// Seq is the contribution sequence number (1-based, per object);
-	// pass it back as after/since to resume without loss.
+	// pass it back as after to resume without loss.
 	Seq int `json:"seq"`
 }
 
@@ -261,24 +259,4 @@ type PollResponse struct {
 	Events []NotifyEvent `json:"events"`
 	// Next is the sequence number to poll after next time.
 	Next int `json:"next"`
-}
-
-// Streaming frame types, carried in the type byte of the WAL framing
-// (wal.AppendFrame/wal.Scan). The numbering starts far above the log's
-// own record types so a frame can never be confused with one.
-const (
-	// FrameHello opens a stream; payload is StreamHello.
-	FrameHello = 32
-	// FrameNotify carries one NotifyEvent.
-	FrameNotify = 33
-	// FrameHeartbeat is periodic liveness; empty payload.
-	FrameHeartbeat = 34
-)
-
-// StreamHello is the first frame of every subscription stream.
-type StreamHello struct {
-	Space  string `json:"space"`
-	Object string `json:"object"`
-	// Since echoes the resume point the subscription starts after.
-	Since int `json:"since"`
 }

@@ -24,10 +24,6 @@
 // discards everything after the first bad length, bad CRC, or short
 // frame — the torn tail a kill-at-any-byte leaves behind. Records are
 // therefore atomic: a partially written frame never surfaces as data.
-// The served front-end reuses this framing for its subscription streams
-// (internal/server, docs/SERVER.md §Streaming): a dropped connection is
-// to a stream what a crash is to the log, and the longest-valid-prefix
-// decode gives wire clients the same never-see-a-torn-record guarantee.
 package wal
 
 import (

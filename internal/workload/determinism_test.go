@@ -110,8 +110,8 @@ func TestForceRoundsMatchesFreeRunning(t *testing.T) {
 
 // TestWireMatchesInProcess is the cross-path half of the contract: a
 // profile driven through a single-shard papyrusd must leave the same
-// fingerprint behind as the in-process driver (oracle.WireStatsExempt
-// compares its version map only). The profiles chosen here exercise
+// fingerprint behind as the in-process driver, stats included. The
+// profiles chosen here exercise
 // every wire verb: rework (record rework + erase), collab (contribute /
 // retrieve / watch / space sequence), replay (initial-point rework +
 // history replay), agentic (inference queries).
@@ -121,9 +121,6 @@ func TestWireMatchesInProcess(t *testing.T) {
 		t.Run(profile, func(t *testing.T) {
 			core := run(t, oracle.Cell{Spec: testSpec(profile), Workers: 4, Stripes: 1})
 			wire := run(t, oracle.Cell{Spec: testSpec(profile), Workers: 4, Wire: true})
-			if profile == oracle.WireStatsExempt {
-				wire.Stats = core.Stats
-			}
 			if d := wire.Diff(core.Fingerprint); d != "" {
 				t.Errorf("wire diverged from in-process: %s", d)
 			}

@@ -92,9 +92,9 @@ func (e *wireEnv) Retrieve(space, object string, version int, dest string) error
 }
 
 func (e *wireEnv) Watch(space, object string) error {
-	// The wire has no server-side watch registration outside a live
-	// subscription; a zero-resume short poll exercises the notification
-	// surface and primes nothing, matching the in-process no-op notifier.
+	// A short zero-resume poll installs the session's own notification
+	// flag on the object, which later contributions fire exactly as they
+	// fire the in-process designer's watch.
 	_, err := e.c.Poll(space, e.session, object, 0, time.Millisecond)
 	return err
 }
