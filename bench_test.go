@@ -368,7 +368,7 @@ func BenchmarkReclamation_StorageOverhead(b *testing.B) {
 		if _, err := rc.CollectIterations(th, reclaim.IterationHint{Rounds: rounds}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := rc.SweepObjects(); err != nil {
+		if _, err := rc.Sweep(0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -407,7 +407,7 @@ func expStorage() {
 		r := reclaim.New(sysB.Store, reclaim.Policy{Grace: 0})
 		_, err := r.CollectIterations(th, reclaim.IterationHint{Rounds: rr})
 		must(err)
-		_, err = r.SweepObjects()
+		_, err = r.Sweep(0)
 		must(err)
 		with := sysB.Store.TotalBytes()
 		after := sysB.Store.ObjectCount()

@@ -21,7 +21,7 @@ import (
 )
 
 func TestDissertationWalkthrough(t *testing.T) {
-	sys, err := core.New(core.Config{Nodes: 4, ReMigrateEvery: 25, SweepEvery: 50})
+	sys, err := core.New(core.Config{Nodes: 4, ReMigrateEvery: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestDissertationWalkthrough(t *testing.T) {
 	if removed == 0 {
 		t.Error("iteration GC removed nothing")
 	}
-	_, err = sys.Reclaimer.SweepObjects()
+	_, err = sys.Reclaimer.Sweep(0)
 	must(err)
 	if sys.Store.ObjectCount() >= before {
 		t.Error("sweep did not shrink the store")

@@ -34,19 +34,17 @@ type Op struct {
 type Graph struct {
 	ops       []*Op
 	producers map[oct.Ref]*Op
-	consumers map[oct.Ref][]*Op
 }
 
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
 		producers: make(map[oct.Ref]*Op),
-		consumers: make(map[oct.Ref][]*Op),
 	}
 }
 
 // AddStep records a completed design step. Steps that produced nothing
-// (pure checks) still appear as consumer edges. The op shares the
+// (pure checks) still appear as ops. The op shares the
 // record's Options, Inputs and Outputs slices, which StepRecord promises
 // are never mutated; callers must not mutate an Op's slices either.
 func (g *Graph) AddStep(rec history.StepRecord) *Op {
@@ -62,9 +60,6 @@ func (g *Graph) AddStep(rec history.StepRecord) *Op {
 	g.ops = append(g.ops, op)
 	for _, out := range op.Outputs {
 		g.producers[out] = op
-	}
-	for _, in := range op.Inputs {
-		g.consumers[in] = append(g.consumers[in], op)
 	}
 	return op
 }
@@ -91,11 +86,6 @@ func (g *Graph) Ops() []*Op { return g.ops }
 func (g *Graph) Producer(ref oct.Ref) (*Op, bool) {
 	op, ok := g.producers[ref]
 	return op, ok
-}
-
-// Consumers returns the operations that read the object version.
-func (g *Graph) Consumers(ref oct.Ref) []*Op {
-	return append([]*Op(nil), g.consumers[ref]...)
 }
 
 // Objects returns every object version appearing in the graph, sorted.
@@ -154,35 +144,6 @@ func (g *Graph) Derivation(ref oct.Ref) ([]*Op, error) {
 		return nil, err
 	}
 	return order, nil
-}
-
-// Affected returns the object versions transitively derived from ref —
-// the set a retracing facility must regenerate when ref changes (§2.2.2).
-func (g *Graph) Affected(ref oct.Ref) []oct.Ref {
-	seen := map[oct.Ref]bool{}
-	var walk func(r oct.Ref)
-	walk = func(r oct.Ref) {
-		for _, op := range g.consumers[r] {
-			for _, out := range op.Outputs {
-				if !seen[out] {
-					seen[out] = true
-					walk(out)
-				}
-			}
-		}
-	}
-	walk(ref)
-	out := make([]oct.Ref, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Version < out[j].Version
-	})
-	return out
 }
 
 // Sources returns objects with no producer (primary inputs of the design).

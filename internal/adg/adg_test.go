@@ -34,9 +34,16 @@ func TestProducersAndConsumers(t *testing.T) {
 	if _, ok := g.Producer(ref("spec", 1)); ok {
 		t.Error("source object has a producer")
 	}
-	cons := g.Consumers(ref("logic", 1))
-	if len(cons) != 2 {
-		t.Errorf("consumers of logic = %d, want 2", len(cons))
+	var cons []string
+	for _, op := range g.Ops() {
+		for _, in := range op.Inputs {
+			if in == ref("logic", 1) {
+				cons = append(cons, op.Tool)
+			}
+		}
+	}
+	if !reflect.DeepEqual(cons, []string{"misII", "espresso"}) {
+		t.Errorf("consumers of logic = %v, want [misII espresso]", cons)
 	}
 }
 
@@ -58,19 +65,6 @@ func TestDerivationOrder(t *testing.T) {
 		if tools[i] != want[i] {
 			t.Errorf("derivation[%d] = %s, want %s", i, tools[i], want[i])
 		}
-	}
-}
-
-func TestAffectedSet(t *testing.T) {
-	g := buildChain()
-	affected := g.Affected(ref("logic", 1))
-	// opt, layout, min are all downstream of logic.
-	if len(affected) != 3 {
-		t.Fatalf("affected = %v", affected)
-	}
-	affected = g.Affected(ref("layout", 1))
-	if len(affected) != 0 {
-		t.Errorf("leaf has affected set %v", affected)
 	}
 }
 
@@ -138,14 +132,10 @@ func TestVersionsAreDistinctNodes(t *testing.T) {
 	if len(order) != 2 {
 		t.Errorf("derivation across versions %d ops, want 2", len(order))
 	}
-	affected := g.Affected(ref("c", 1))
-	if len(affected) != 2 {
-		t.Errorf("affected %v", affected)
-	}
 }
 
 // TestFromStreamMatchesIncremental: rebuilding the graph from a stream
-// gives the same ops, producers and consumers as feeding the same steps
+// gives the same ops and producers as feeding the same steps
 // to AddStep one at a time (the inference layer's OnStep path). The ops
 // share the records' slices rather than copying them.
 func TestFromStreamMatchesIncremental(t *testing.T) {
@@ -190,16 +180,6 @@ func TestFromStreamMatchesIncremental(t *testing.T) {
 		b, bok := rebuilt.Producer(obj)
 		if aok != bok || (aok && a.ID != b.ID) {
 			t.Errorf("producer of %s: incremental %v, rebuilt %v", obj, a, b)
-		}
-		var ca, cb []int
-		for _, op := range incr.Consumers(obj) {
-			ca = append(ca, op.ID)
-		}
-		for _, op := range rebuilt.Consumers(obj) {
-			cb = append(cb, op.ID)
-		}
-		if !reflect.DeepEqual(ca, cb) {
-			t.Errorf("consumers of %s: incremental %v, rebuilt %v", obj, ca, cb)
 		}
 	}
 	op := rebuilt.Ops()[1]

@@ -3,16 +3,18 @@
 // object store, simulated CAD suite) to the two Papyrus subsystems — the
 // task manager (Ch. 4) and the activity manager (Ch. 5) — with the
 // metadata-inference engine (Ch. 6) observing every design step and the
-// storage reclaimer (§5.4) bounding single-assignment growth.
+// storage reclaimer (§5.4) bounding single-assignment growth; its callers
+// decide when Reclaimer.Sweep runs.
 //
 // A System is one design environment (Fig 1.1/Fig 3.12): create threads,
 // invoke tasks in them, rework the history, share through SDS spaces, and
-// query inferred metadata. For a team, RunSessions drives N concurrent
-// Sessions — each a private virtual-time cluster and task/activity stack
-// over the shared store, with a disjoint thread-ID base — and OpenSession
-// hands out the same isolation one session at a time; in the served
-// architecture (cmd/papyrusd, docs/SERVER.md) each engine shard is one
-// System and every wire session is one such Session.
+// query inferred metadata. Its root Stack — a virtual-time cluster with
+// task and activity managers — is built by the same constructor as every
+// Session's. For a team, RunSessions drives N concurrent Sessions, each a
+// private Stack over the shared store with a disjoint thread-ID base, and
+// OpenSession hands out the same isolation one session at a time; in the
+// served architecture (cmd/papyrusd, docs/SERVER.md) each engine shard is
+// one System and every wire session is one such Session.
 package core
 
 import (
@@ -65,13 +67,6 @@ type Config struct {
 	// to prove the stripe count is unobservable in stats, traces, and
 	// version maps.
 	StoreStripes int
-	// SweepEvery runs the background object reclaimer at this virtual
-	// interval (the abstract's "history-based object reclamation in the
-	// background"); 0 disables the periodic sweep.
-	SweepEvery int64
-	// SweepBudget bounds index records scanned per background sweep
-	// slice (docs/RECLAIM.md); <= 0 sweeps the whole store each time.
-	SweepBudget int
 	// Metrics receives counters and histograms from every subsystem
 	// (nil = no metrics; zero instrumentation cost).
 	Metrics *obs.Registry
@@ -110,18 +105,35 @@ type Config struct {
 	Memo *memo.Cache
 }
 
-// System is a complete Papyrus design environment.
+// Stack is one engine stack: a virtual-time cluster with its task and
+// activity managers over the System's shared store. The root System and
+// every Session each own one, and newStack builds them all.
+type Stack struct {
+	// Cluster is the stack's workstation network; its virtual clock is
+	// independent of every other stack's.
+	Cluster  *sprite.Cluster
+	Tasks    *task.Manager
+	Activity *activity.Manager
+	// Fault is the stack's fault injector, armed against its cluster;
+	// nil when Config.Fault was unset.
+	Fault *fault.Injector
+}
+
+// Invoke instantiates a task template in a thread of this stack. Input
+// names use the three user forms (§5.2); outputs are plain names.
+func (st *Stack) Invoke(t *activity.Thread, taskName string, inputs, outputs map[string]string, opts ...activity.InvokeOption) (*history.Record, error) {
+	return st.Activity.InvokeTask(t, taskName, inputs, outputs, opts...)
+}
+
+// System is a complete Papyrus design environment: the shared store,
+// history-derived metadata and reclaimer, plus the root engine stack.
 type System struct {
+	Stack
 	Suite     *cad.Suite
 	Store     *oct.Store
-	Cluster   *sprite.Cluster
 	Attrs     *attr.DB
-	Tasks     *task.Manager
-	Activity  *activity.Manager
 	Inference *infer.Engine
 	Reclaimer *reclaim.Reclaimer
-	// Fault is the armed fault injector; nil when Config.Fault was unset.
-	Fault *fault.Injector
 	// Metrics and Trace are the observability sinks shared by every
 	// subsystem; nil when the Config left them unset.
 	Metrics *obs.Registry
@@ -140,8 +152,8 @@ type System struct {
 	spacesMu sync.Mutex
 	spaces   map[string]*sds.Space
 
-	// infMu serializes inference observations when several sessions
-	// complete steps concurrently (RunSessions).
+	// infMu serializes inference observations from every stack's steps
+	// with each other and with InferenceQuery.
 	infMu sync.Mutex
 }
 
@@ -153,77 +165,95 @@ func New(cfg Config) (*System, error) {
 	if cfg.MigrationDelay == 0 {
 		cfg.MigrationDelay = 2
 	}
-	cluster, err := sprite.NewCluster(sprite.Config{
-		Nodes:          cfg.Nodes,
-		MigrationDelay: cfg.MigrationDelay,
-		Metrics:        cfg.Metrics,
-		Tracer:         cfg.Trace,
-	})
-	if err != nil {
-		return nil, err
-	}
 	s := &System{
 		Suite:   cad.NewSuite(),
 		Store:   oct.NewStoreWithStripes(cfg.StoreStripes),
-		Cluster: cluster,
+		Attrs:   attr.New(cad.Measure),
 		Metrics: cfg.Metrics,
 		Trace:   cfg.Trace,
+		Memo:    cfg.Memo,
 		cfg:     cfg,
 		spaces:  make(map[string]*sds.Space),
 	}
-	s.Store.SetObservability(cfg.Metrics, cfg.Trace, cluster.Now)
-	s.Attrs = attr.New(cad.Measure)
 	if !cfg.DisableInference {
 		s.Inference = infer.NewEngine(s.Suite, s.Store, s.Attrs)
 	}
-	taskCfg := task.Config{
-		Suite:          s.Suite,
-		Store:          s.Store,
-		Cluster:        cluster,
-		Templates:      s.templateSource(),
-		AttrDB:         s.Attrs,
-		ReMigrateEvery: cfg.ReMigrateEvery,
-		Retry:          cfg.Retry,
-		Workers:        cfg.Workers,
-		StepLatency:    cfg.StepLatency,
-		Metrics:        cfg.Metrics,
-		Tracer:         cfg.Trace,
-		Memo:           cfg.Memo,
-	}
-	s.Memo = cfg.Memo
-	if cfg.Fault != nil {
-		s.Fault = fault.New(*cfg.Fault)
-		s.Fault.SetObservability(cfg.Metrics, cfg.Trace, cluster.Now)
-		s.Fault.Arm(cluster)
-		taskCfg.FaultStep = s.Fault.FailStep
-	}
-	if s.Inference != nil {
-		taskCfg.OnStep = s.Inference.ObserveStep
-	}
-	s.Tasks, err = task.New(taskCfg)
-	if err != nil {
+	var err error
+	if s.Stack, err = s.newStack(cfg.Trace, cfg.Fault, 0); err != nil {
 		return nil, err
 	}
-	s.Activity = activity.NewManager(s.Store, s.Tasks)
-	s.Activity.SetObservability(cfg.Metrics, cfg.Trace, cluster.Now)
-	s.Reclaimer = reclaim.New(s.Store, reclaim.Policy{
-		Grace:       cfg.ReclaimGrace,
-		SweepBudget: cfg.SweepBudget,
-		Memo:        cfg.Memo,
-	})
-	if cfg.SweepEvery > 0 {
-		// The background reclaimer of §3.3.1/§5.4: runs as virtual time
-		// advances, physically deleting versions hidden past the grace
-		// period. Sweep errors only occur on archiver failures, which the
-		// default (delete) policy cannot produce.
-		cluster.Every(cfg.SweepEvery, func(now int64) {
-			_, _ = s.Reclaimer.SweepObjects()
-		})
-	}
+	s.Store.SetObservability(cfg.Metrics, cfg.Trace, s.Cluster.Now)
+	s.Reclaimer = reclaim.New(s.Store, reclaim.Policy{Grace: cfg.ReclaimGrace, Memo: cfg.Memo})
 	if err := s.openWAL(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// newStack builds one engine stack over the shared System: a cluster
+// shaped by the Config, a task manager whose instance IDs and an activity
+// manager whose thread IDs start at base, both reporting to tracer, and,
+// when plan is set, an injector drawing from it. Every stack's steps feed
+// the inference engine under infMu, and its activity manager logs to the
+// shared WAL.
+func (sys *System) newStack(tracer *obs.Tracer, plan *fault.Plan, base int) (Stack, error) {
+	cluster, err := sprite.NewCluster(sprite.Config{
+		Nodes:          sys.cfg.Nodes,
+		MigrationDelay: sys.cfg.MigrationDelay,
+		Metrics:        sys.Metrics,
+		Tracer:         tracer,
+	})
+	if err != nil {
+		return Stack{}, err
+	}
+	taskCfg := task.Config{
+		Suite:          sys.Suite,
+		Store:          sys.Store,
+		Cluster:        cluster,
+		Templates:      sys.templateSource(),
+		AttrDB:         sys.Attrs,
+		ReMigrateEvery: sys.cfg.ReMigrateEvery,
+		Retry:          sys.cfg.Retry,
+		Workers:        sys.cfg.Workers,
+		StepLatency:    sys.cfg.StepLatency,
+		Metrics:        sys.Metrics,
+		Tracer:         tracer,
+		// Every stack shares one memo cache: it is concurrency-safe,
+		// holds no observability sinks (hit events go to the stack's
+		// tracer), and a result computed by one stack serves every other.
+		Memo: sys.Memo,
+		// Disjoint instance-ID ranges (the thread-base scheme): names of
+		// intermediates carry the instance suffix, and stacks share the
+		// store, so colliding suffixes would make shared-name version
+		// order a race.
+		InstanceBase: base,
+	}
+	var inj *fault.Injector
+	if plan != nil {
+		inj = fault.New(*plan)
+		inj.SetObservability(sys.Metrics, tracer, cluster.Now)
+		inj.Arm(cluster)
+		taskCfg.FaultStep = inj.FailStep
+	}
+	if sys.Inference != nil {
+		taskCfg.OnStep = func(rec history.StepRecord) {
+			sys.infMu.Lock()
+			defer sys.infMu.Unlock()
+			sys.Inference.ObserveStep(rec)
+		}
+	}
+	tasks, err := task.New(taskCfg)
+	if err != nil {
+		return Stack{}, err
+	}
+	act := activity.NewManager(sys.Store, tasks)
+	act.SetThreadBase(base)
+	act.SetObservability(sys.Metrics, tracer, cluster.Now)
+	// The disjoint thread-ID bases keep every stack's records in disjoint
+	// ranges of the shared log, so a recovered root manager replays every
+	// session's threads without collision.
+	act.AttachWAL(sys.WAL)
+	return Stack{Cluster: cluster, Tasks: tasks, Activity: act, Fault: inj}, nil
 }
 
 // ImportObject checks an external object into the design database (the
@@ -243,12 +273,6 @@ func (s *System) ImportObject(name string, typ oct.Type, data oct.Value) (oct.Re
 // NewThread creates a design thread.
 func (s *System) NewThread(name, owner string) *activity.Thread {
 	return s.Activity.NewThread(name, owner)
-}
-
-// Invoke instantiates a task template in a thread. Input names use the
-// three user forms (§5.2); outputs are plain names.
-func (s *System) Invoke(t *activity.Thread, taskName string, inputs, outputs map[string]string, opts ...activity.InvokeOption) (*history.Record, error) {
-	return s.Activity.InvokeTask(t, taskName, inputs, outputs, opts...)
 }
 
 // Space returns (creating on demand) a synchronization data space. Safe
@@ -319,10 +343,10 @@ type InferenceResult struct {
 
 // InferenceQuery is the Ch. 6 read-side query surface (op = type |
 // lineage | equivalence | relationships | outofdate) used by the served
-// query endpoint and agentic workload designers. It takes the same mutex
-// that serializes concurrent session step observations (sessions.go), so
-// live sessions can query the ADG while others are still executing steps
-// without racing the engine's internal maps.
+// query endpoint and agentic workload designers. It takes the mutex under
+// which every stack's steps are observed (newStack), so a caller can query
+// the ADG while the root or any session is still executing steps without
+// racing the engine's internal maps.
 func (s *System) InferenceQuery(op string, ref oct.Ref) (InferenceResult, error) {
 	var res InferenceResult
 	if s.Inference == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -121,47 +122,47 @@ func TestReclaimerWired(t *testing.T) {
 	s := newSystem(t, Config{ReclaimGrace: 0})
 	ref, _ := s.ImportObject("junk", oct.TypeText, oct.Text("bytes"))
 	s.Store.Hide(ref)
-	st, err := s.Reclaimer.SweepObjects()
+	st, err := s.Reclaimer.Sweep(0)
 	if err != nil || st.Versions != 1 {
 		t.Errorf("sweep %+v err %v", st, err)
 	}
 }
 
-func TestBackgroundSweep(t *testing.T) {
-	s := newSystem(t, Config{Nodes: 2, SweepEvery: 10, ReclaimGrace: 0})
-	if _, err := s.ImportObject("/spec", oct.TypeBehavioral, oct.Text(logic.ShifterBehavior(4))); err != nil {
+// TestRootStackSerializesInference: a root-stack step feeds the inference
+// engine under the mutex InferenceQuery takes, as a session step does, so
+// a query may run beside a root Invoke (go test -race checks the claim).
+func TestRootStackSerializesInference(t *testing.T) {
+	s := newSystem(t, Config{})
+	spec, err := s.ImportObject("/spec", oct.TypeBehavioral, oct.Text(logic.ShifterBehavior(2)))
+	if err != nil {
 		t.Fatal(err)
 	}
 	th := s.NewThread("t", "u")
-	// Running a task advances virtual time past several sweep intervals;
-	// its hidden intermediates get physically reclaimed in the background.
-	if _, err := s.Invoke(th, "Structure_Synthesis",
-		map[string]string{"Incell": "/spec", "Musa_Command": "/cmd"},
-		map[string]string{"Outcell": "o", "Cell_Statistics": "st"}); err != nil {
-		// Musa command missing: import and retry once.
-		if _, err2 := s.ImportObject("/cmd", oct.TypeText, oct.Text("set d0 1\nsim\n")); err2 != nil {
-			t.Fatal(err2)
+	stop, queried := make(chan struct{}), make(chan error)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				queried <- nil
+				return
+			default:
+			}
+			if _, err := s.InferenceQuery("lineage", spec); err != nil {
+				queried <- err
+				return
+			}
 		}
-		if _, err := s.Invoke(th, "Structure_Synthesis",
-			map[string]string{"Incell": "/spec", "Musa_Command": "/cmd"},
-			map[string]string{"Outcell": "o", "Cell_Statistics": "st"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Hide an object and run another task: the background sweep reclaims it.
-	ref, _ := s.ImportObject("junk", oct.TypeText, oct.Text("bytes"))
-	s.Store.Hide(ref)
-	if _, err := s.Invoke(th, "PLA-generation",
-		map[string]string{"Inlogic": "cell.logic#1@1"},
-		map[string]string{"Outcell": "p"}); err != nil {
-		// The intermediate name may differ; use the task output instead.
-		if _, err := s.Invoke(th, "place-pads",
-			map[string]string{"Incell": "o"},
-			map[string]string{"Outcell": "padded"}); err != nil {
-			t.Fatal(err)
+	}()
+	for i := 0; i < 8; i++ {
+		if _, err := s.Invoke(th, "create-logic-description",
+			map[string]string{"Spec": "/spec"},
+			map[string]string{"Outlogic": fmt.Sprintf("l%d", i)}); err != nil {
+			t.Error(err)
+			break
 		}
 	}
-	if _, err := s.Store.Get(ref); err == nil {
-		t.Error("background sweep did not reclaim the hidden object")
+	close(stop)
+	if err := <-queried; err != nil {
+		t.Fatal(err)
 	}
 }

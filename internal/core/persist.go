@@ -55,15 +55,6 @@ func (s *System) SaveSession(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	// Reclamation composes with checkpoint compaction: when the
-	// background reclaimer is armed, run one full sweep first so the
-	// snapshot — and every recovery from it — never carries versions
-	// already past their grace period (docs/RECLAIM.md).
-	if s.cfg.SweepEvery > 0 && s.Reclaimer != nil {
-		if _, err := s.Reclaimer.Sweep(0); err != nil {
-			return fmt.Errorf("core: pre-checkpoint sweep: %w", err)
-		}
-	}
 	snap := sessionSnapshot{Generation: s.gen}
 	if s.WAL != nil {
 		snap.Generation++

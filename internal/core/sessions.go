@@ -24,11 +24,7 @@ import (
 	"sort"
 	"sync"
 
-	"papyrus/internal/activity"
-	"papyrus/internal/fault"
-	"papyrus/internal/history"
 	"papyrus/internal/obs"
-	"papyrus/internal/sprite"
 	"papyrus/internal/task"
 )
 
@@ -43,8 +39,11 @@ type SessionSpec struct {
 }
 
 // Session is the per-thread slice of a System handed to SessionSpec.Run:
-// a private cluster/task/activity stack over the shared store and spaces.
+// a private engine stack over the shared store and spaces. Its fault
+// injector's seed folds in the session index, so concurrent sessions draw
+// independent (but individually reproducible) fault sequences.
 type Session struct {
+	Stack
 	// Name and Index identify the session (Index is its position in the
 	// RunSessions spec slice).
 	Name  string
@@ -52,25 +51,9 @@ type Session struct {
 	// System is the shared environment: Store, Suite, Attrs, Metrics and
 	// Space(id) are safe to use concurrently from any session.
 	System *System
-	// Cluster is the session's private workstation network; its virtual
-	// clock is independent of every other session's.
-	Cluster *sprite.Cluster
-	// Tasks and Activity are the session's private managers.
-	Tasks    *task.Manager
-	Activity *activity.Manager
-	// Fault is the session's private injector, armed against the
-	// session cluster when the system config carries a fault plan; its
-	// seed folds in the session index so concurrent sessions draw
-	// independent (but individually reproducible) fault sequences.
-	Fault *fault.Injector
 	// Trace is the session's private tracer; nil when the system has
 	// tracing off. RunSessions merges it into System.Trace at the end.
 	Trace *obs.Tracer
-}
-
-// Invoke instantiates a task template in a thread of this session.
-func (s *Session) Invoke(t *activity.Thread, taskName string, inputs, outputs map[string]string, opts ...activity.InvokeOption) (*history.Record, error) {
-	return s.Activity.InvokeTask(t, taskName, inputs, outputs, opts...)
 }
 
 // SessionResult reports one session's outcome.
@@ -90,15 +73,13 @@ const sessionThreadStride = 1 << 20
 
 // RunSessions executes the given sessions concurrently, at most
 // Config.Workers at a time (task.DefaultWorkers when unset). Each session
-// gets a private cluster (same node count/speeds/migration delay as the
-// system), task manager, activity manager (with a disjoint thread-ID
-// range), and tracer; all sessions share the system's store, CAD suite,
+// gets a private stack built like the root's (a cluster of the same
+// shape, task and activity managers with a disjoint ID range) and a
+// private tracer; all sessions share the system's store, CAD suite,
 // attribute database, SDS spaces, inference engine (serialized), and
 // metrics registry. A configured fault plan arms against every session
 // cluster too (seed folded with the session index), so multi-session
-// workloads feel the same failure classes the root timeline does;
-// background sweeps stay on the root system — they are driven by the
-// root cluster's timeline and do not apply to session clusters.
+// workloads feel the same failure classes the root timeline does.
 //
 // It returns one result per spec, in spec order, and a non-nil error if
 // any session failed.
@@ -222,81 +203,17 @@ func (sys *System) newSession(index int, spec SessionSpec) (*Session, error) {
 	if sys.Trace != nil {
 		tracer = obs.NewTracer()
 	}
-	cluster, err := sprite.NewCluster(sprite.Config{
-		Nodes:          sys.cfg.Nodes,
-		MigrationDelay: sys.cfg.MigrationDelay,
-		Metrics:        sys.Metrics,
-		Tracer:         tracer,
-	})
+	plan := sys.cfg.Fault
+	if plan != nil {
+		seeded := *plan
+		seeded.Seed = sessionFaultSeed(plan.Seed, index)
+		plan = &seeded
+	}
+	st, err := sys.newStack(tracer, plan, (index+1)*sessionThreadStride)
 	if err != nil {
 		return nil, err
 	}
-	var inj *fault.Injector
-	if sys.cfg.Fault != nil {
-		// Each session draws its own fault sequence: the plan is shared
-		// but the seed folds in the session index, so session i's faults
-		// are reproducible across runs and worker counts yet independent
-		// of its neighbors'. Crash/stall schedules arm against the
-		// session's private cluster timeline.
-		plan := *sys.cfg.Fault
-		plan.Seed = sessionFaultSeed(plan.Seed, index)
-		inj = fault.New(plan)
-		inj.SetObservability(sys.Metrics, tracer, cluster.Now)
-		inj.Arm(cluster)
-	}
-	taskCfg := task.Config{
-		Suite:          sys.Suite,
-		Store:          sys.Store,
-		Cluster:        cluster,
-		Templates:      sys.templateSource(),
-		AttrDB:         sys.Attrs,
-		ReMigrateEvery: sys.cfg.ReMigrateEvery,
-		Retry:          sys.cfg.Retry,
-		Workers:        sys.cfg.Workers,
-		StepLatency:    sys.cfg.StepLatency,
-		Metrics:        sys.Metrics,
-		Tracer:         tracer,
-		// Sessions share one memo cache: it is concurrency-safe, holds no
-		// observability sinks (hit events go to the session tracer), and a
-		// result computed by one session serves every other.
-		Memo: sys.Memo,
-		// Disjoint instance-ID ranges (same scheme as the thread bases):
-		// intermediate names carry the instance suffix, and sessions share
-		// the store, so colliding suffixes would make shared-name version
-		// order a race.
-		InstanceBase: (index + 1) * sessionThreadStride,
-	}
-	if inj != nil {
-		taskCfg.FaultStep = inj.FailStep
-	}
-	if sys.Inference != nil {
-		taskCfg.OnStep = func(rec history.StepRecord) {
-			sys.infMu.Lock()
-			defer sys.infMu.Unlock()
-			sys.Inference.ObserveStep(rec)
-		}
-	}
-	tasks, err := task.New(taskCfg)
-	if err != nil {
-		return nil, err
-	}
-	act := activity.NewManager(sys.Store, tasks)
-	act.SetThreadBase((index + 1) * sessionThreadStride)
-	act.SetObservability(sys.Metrics, tracer, cluster.Now)
-	// Sessions share the system's write-ahead log; the disjoint thread-ID
-	// bases keep their records in disjoint ranges, so a recovered root
-	// manager replays every session's threads without collision.
-	act.AttachWAL(sys.WAL)
-	return &Session{
-		Name:     name,
-		Index:    index,
-		System:   sys,
-		Cluster:  cluster,
-		Tasks:    tasks,
-		Activity: act,
-		Fault:    inj,
-		Trace:    tracer,
-	}, nil
+	return &Session{Stack: st, Name: name, Index: index, System: sys, Trace: tracer}, nil
 }
 
 // sessionFaultSeed folds a session index into a fault-plan seed

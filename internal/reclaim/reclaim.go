@@ -38,13 +38,6 @@ type Policy struct {
 	// Grace is the invisibility age (in store-clock ticks) before a
 	// hidden version is physically reclaimed.
 	Grace int64
-	// SweepBudget bounds how many index records one SweepObjects call
-	// examines (whole stripes, so slices overshoot by at most one
-	// stripe's population); <= 0 sweeps the whole store. The sweep
-	// cursor resumes where the last slice stopped, so repeated budgeted
-	// sweeps cycle the full store — the incremental background
-	// reclaimer's knob (docs/RECLAIM.md).
-	SweepBudget int
 	// Memo, when set, has entries depending on reclaimed versions
 	// invalidated at sweep time, so a stale content-pinned entry can
 	// never re-materialize a version storage management deleted.
@@ -288,18 +281,12 @@ type Stats struct {
 	MemoInvalidated int // memo entries dropped because they depended on reclaimed versions
 }
 
-// SweepObjects runs one sweep slice under the policy's budget — the
-// background reclamation of §3.3.1 and §5.4. With SweepBudget <= 0 a
-// call sweeps the whole store (the historical monolithic behavior);
-// with a budget it scans at most ~budget index records from the
-// resumable cursor and returns, so a per-virtual-tick caller amortizes
-// the full scan over many slices.
-func (r *Reclaimer) SweepObjects() (Stats, error) {
-	return r.Sweep(r.policy.SweepBudget)
-}
-
-// Sweep runs one reclamation slice with an explicit scan budget,
-// overriding the policy's. Candidates — invisible versions whose last
+// Sweep runs one reclamation slice — the background reclamation of
+// §3.3.1 and §5.4. budget bounds the index records the slice examines
+// (whole stripes, so a slice overshoots by at most one stripe's
+// population); <= 0 sweeps the whole store. The cursor resumes where the
+// last slice stopped, so repeated budgeted sweeps cycle the full store
+// (docs/RECLAIM.md). Candidates — invisible versions whose last
 // access is at least Grace ticks old — are physically deleted through
 // oct.Store.ReclaimVersions, which WAL-logs each stripe's deletions
 // (RecReclaim) before acknowledging them, then memo entries depending

@@ -228,7 +228,7 @@ func TestSweepObjects(t *testing.T) {
 	store.Hide(oct.Ref{Name: "hide", Version: 1})
 	arch := &memArchive{}
 	r := New(store, Policy{Grace: 0, Archiver: arch})
-	st, err := r.SweepObjects()
+	st, err := r.Sweep(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestSweepRespectsGrace(t *testing.T) {
 	store.Put("x", oct.TypeText, oct.Text("p"), "")
 	store.Hide(oct.Ref{Name: "x", Version: 1})
 	r := New(store, Policy{Grace: 1_000_000})
-	st, err := r.SweepObjects()
+	st, err := r.Sweep(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestStorageOverheadBounded(t *testing.T) {
 		if _, err := r.CollectIterations(th, IterationHint{Rounds: rounds}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.SweepObjects(); err != nil {
+		if _, err := r.Sweep(0); err != nil {
 			t.Fatal(err)
 		}
 		return e.store.TotalBytes()
@@ -374,11 +374,11 @@ func TestSweepBudgetResumes(t *testing.T) {
 		}
 	}
 
-	r := New(store, Policy{Grace: 0, SweepBudget: 7, Memo: cache})
+	r := New(store, Policy{Grace: 0, Memo: cache})
 	total := Stats{}
 	sweeps := 0
 	for total.Versions < len(refs) {
-		st, err := r.SweepObjects()
+		st, err := r.Sweep(7)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -163,7 +163,6 @@ func New(cfg Config) (*Server, error) {
 			Retry:            cfg.Retry,
 			Metrics:          cfg.Metrics,
 			ReclaimGrace:     cfg.ReclaimGrace,
-			SweepBudget:      cfg.SweepBudget,
 		}
 		if cfg.Memo {
 			sysCfg.Memo = memo.NewCache()

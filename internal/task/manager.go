@@ -56,8 +56,6 @@ type Config struct {
 	Cluster *sprite.Cluster
 	// Templates resolves a task name to its template text.
 	Templates func(name string) (string, error)
-	// Home is the workstation the task manager itself runs on.
-	Home sprite.NodeID
 	// AttrDB serves the attribute command; nil disables it.
 	AttrDB *attr.DB
 	// MaxRestarts bounds programmable-abort restarts per invocation
@@ -115,6 +113,10 @@ type Config struct {
 
 // DefaultWorkers is the worker-pool size when Config.Workers is unset.
 const DefaultWorkers = 4
+
+// home is the workstation every task manager runs on: steps spawn there
+// and migrate away from it (§4.3.3).
+const home sprite.NodeID = 0
 
 // RetryPolicy bounds per-step retries of transient failures. It is
 // deliberately independent of Config.MaxRestarts: a programmable-abort

@@ -83,7 +83,7 @@ func (r *run) tryMemoHit(p *pending) bool {
 	stepRec := r.record(p, history.StepRecord{
 		StartedAt:   now,
 		CompletedAt: now,
-		Node:        int(r.m.cfg.Home),
+		Node:        int(home),
 		Log:         e.Log,
 	}, objs)
 

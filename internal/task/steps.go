@@ -241,7 +241,7 @@ func (r *run) dispatch(p *pending) {
 		Name:       p.spec.Name,
 		Work:       work,
 		Parent:     r.marker,
-		Home:       r.m.cfg.Home,
+		Home:       home,
 		Migratable: p.migratable,
 		Priority:   p.spec.Priority,
 		Tag:        p,
@@ -743,7 +743,7 @@ func (r *run) reMigrate(now int64) {
 	var stranded []sprite.PCBInfo
 	atHome := 0
 	for _, row := range rows {
-		if row.Parent != r.marker || row.State != sprite.StateRunning || row.Node != r.m.cfg.Home {
+		if row.Parent != r.marker || row.State != sprite.StateRunning || row.Node != home {
 			continue
 		}
 		atHome++
@@ -776,7 +776,7 @@ func (r *run) findIdleExcluding(assigned map[sprite.NodeID]bool) (sprite.NodeID,
 	c := r.m.cfg.Cluster
 	for i := 0; i < c.NodeCount(); i++ {
 		id := sprite.NodeID(i)
-		if id == r.m.cfg.Home || assigned[id] {
+		if id == home || assigned[id] {
 			continue
 		}
 		n := c.NodeByID(id)

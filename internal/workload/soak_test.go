@@ -40,7 +40,7 @@ func runSoak(t *testing.T, sweep bool) (bytes int64, versions int) {
 	}
 	// One final sweep picks up the last round's erasures.
 	if sweep {
-		if _, err := sys.Reclaimer.SweepObjects(); err != nil {
+		if _, err := sys.Reclaimer.Sweep(0); err != nil {
 			t.Fatal(err)
 		}
 	}
