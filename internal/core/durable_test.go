@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -377,11 +378,17 @@ func TestRecoveryMatrixCheckpoint(t *testing.T) {
 		t.Fatalf("checkpoint cut has segments %v (%v), want the old ones kept", segs, err)
 	}
 	sort.Strings(segs)
-	frame, err := os.ReadFile(segs[len(segs)-1])
+	data, err := os.ReadFile(segs[len(segs)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{0, 1, len(frame) / 2, len(frame) - 1} {
+	// The live segment holds the checkpoint frame and then the writer's
+	// zero-filled remainder: the torn offsets lie inside the frame.
+	_, _, frame := wal.Scan(data)
+	if frame == 0 {
+		t.Fatal("checkpoint cut's last segment holds no frame")
+	}
+	for _, n := range []int{0, 1, frame / 2, frame - 1} {
 		dir := filepath.Join(cuts, fmt.Sprintf("frame-%d", n))
 		copyDir(t, filepath.Join(cuts, "checkpoint", "wal"), filepath.Join(dir, "wal"))
 		copyDir(t, filepath.Join(cuts, "begin", "snap"), filepath.Join(dir, "snap"))
@@ -591,8 +598,10 @@ func TestRecoveryMatrixRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The segment is live, so the writer's zero-filled remainder follows
+	// its last frame; any nonzero byte after the valid prefix is damage.
 	_, ends, valid := wal.Scan(data)
-	if valid != len(data) || len(ends) == 0 {
+	if len(ends) == 0 || len(bytes.Trim(data[valid:], "\x00")) != 0 {
 		t.Fatalf("uninterrupted log invalid: %d records, %d/%d bytes valid", len(ends), valid, len(data))
 	}
 
@@ -620,7 +629,7 @@ func TestRecoveryMatrixRebuild(t *testing.T) {
 				}
 			}
 		}
-		if cut == len(data) {
+		if cut == valid {
 			if got := stateText(t, r); got != want {
 				t.Errorf("full log recovers a different state:\n--- want ---\n%s--- got ---\n%s", want, got)
 			}

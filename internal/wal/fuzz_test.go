@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -9,7 +10,9 @@ import (
 // with valid logs, torn tails, and bit-flipped frames). Invariants, per
 // ISSUE 4: never panic, never surface a record whose CRC does not match,
 // and always accept exactly the longest valid prefix — re-encoding the
-// accepted records must reproduce data[:valid] byte for byte.
+// accepted records must reproduce data[:valid] byte for byte. A log that
+// is valid throughout decodes the same after a zero-filled remainder of
+// any length, the bytes a preallocated segment keeps after its last frame.
 func FuzzWALDecode(f *testing.F) {
 	var seed []byte
 	seed = AppendFrame(seed, Record{Type: RecOCTCommit, Payload: []byte(`{"writes":[{"name":"/x","version":1}]}`)})
@@ -24,6 +27,7 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1, 2, 3}) // absurd length
 	f.Add(bytes.Repeat([]byte{0}, 64))                         // zero-length frames with zero CRC
 
+	zeros := make([]byte, fillStep)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, ends, valid := Scan(data)
 		if valid < 0 || valid > len(data) {
@@ -50,6 +54,16 @@ func FuzzWALDecode(f *testing.F) {
 		// frame (maximality of the prefix).
 		if rest, _, v := Scan(data[valid:]); v != 0 || len(rest) != 0 {
 			t.Fatalf("prefix not maximal: %d more records decode at offset %d", len(rest), valid)
+		}
+		if valid != len(data) {
+			return
+		}
+		for _, n := range []int{1, frameHeader, fillStep} {
+			zrecs, zends, zvalid := Scan(append(data[:len(data):len(data)], zeros[:n]...))
+			if zvalid != valid || !reflect.DeepEqual(zrecs, recs) || !reflect.DeepEqual(zends, ends) {
+				t.Fatalf("%d zero bytes after a valid log changed the scan: %d records to %d, valid %d to %d",
+					n, len(recs), len(zrecs), valid, zvalid)
+			}
 		}
 	})
 }

@@ -24,6 +24,15 @@
 // discards everything after the first bad length, bad CRC, or short
 // frame — the torn tail a kill-at-any-byte leaves behind. Records are
 // therefore atomic: a partially written frame never surfaces as data.
+//
+// The writer zero-fills each segment file ahead of its write position in
+// fillStep steps, up to the rotation point, and writes every frame at the
+// segment's logical end. An acknowledgement's fsync then flushes data
+// blocks only: no block allocation and no size change to journal. So
+// bytes after the last valid frame that are all zero are that
+// preallocated remainder, not a torn tail, in any segment. Rotation and
+// Close truncate the remainder, so a closed segment ends at its last
+// frame.
 package wal
 
 import (
@@ -130,7 +139,9 @@ type Options struct {
 	// Dir holds the log segments (wal-NNNNNNNN.log). Created if absent.
 	Dir string
 	// SegmentBytes rotates to a fresh segment once the current one
-	// reaches this size; <= 0 selects DefaultSegmentBytes.
+	// reaches this size; <= 0 selects DefaultSegmentBytes. It also caps
+	// the zero fill: a live segment's file never grows past
+	// max(SegmentBytes, end of its last frame).
 	SegmentBytes int64
 	// FsyncEvery selects the flush policy. FsyncEvery <= 1 is strict
 	// durability, committed at acknowledgement: Append only writes the
@@ -165,6 +176,14 @@ type Options struct {
 // is unset.
 const DefaultSegmentBytes = 4 << 20
 
+// fillStep is how far ahead of a frame's end the writer zero-fills a
+// segment at a time: one extension (block allocation plus size change)
+// per 64 KiB of log instead of one per acknowledgement.
+const fillStep = 64 << 10
+
+// zeroFill is the source of every fill write.
+var zeroFill [fillStep]byte
+
 // Log is an append-only write-ahead log over a directory of segments.
 // Safe for concurrent use: appends from parallel sessions serialize on an
 // internal mutex and receive strictly ordered positions in the log.
@@ -176,7 +195,8 @@ type Log struct {
 	f         *os.File
 	seq       int   // current segment sequence number
 	ckptSeq   int   // segment the last Checkpoint started; Prune deletes older ones
-	size      int64 // bytes written to the current segment
+	size      int64 // bytes written to the current segment (its logical end)
+	filled    int64 // current segment's file size: size plus the zero-filled remainder
 	lastSync  int64 // virtual time of the last fsync
 	bytes     int64 // total appended bytes (probe, not a registry metric)
 	synced    int64 // prefix of bytes covered by a completed fsync
@@ -208,7 +228,9 @@ func segments(dir string) ([]int, error) {
 
 // Open opens (creating if necessary) the log in opts.Dir. An existing
 // final segment is scanned and truncated to its last valid frame — the
-// torn tail of a killed writer is discarded before any new append.
+// torn tail of a killed writer and any zero-filled remainder are
+// discarded before any new append. wal.open.truncated counts the torn
+// bytes only: those up to the last nonzero byte.
 func Open(opts Options) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("wal: Options.Dir is required")
@@ -237,11 +259,13 @@ func Open(opts Options) (*Log, error) {
 			if err := os.Truncate(path, int64(valid)); err != nil {
 				return nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
 			}
-			opts.Metrics.Add("wal.open.truncated", int64(len(data)-valid))
+			if torn := tornBytes(data, valid); torn > 0 {
+				opts.Metrics.Add("wal.open.truncated", torn)
+			}
 		}
-		l.size = int64(valid)
+		l.size, l.filled = int64(valid), int64(valid)
 	}
-	f, err := os.OpenFile(filepath.Join(opts.Dir, segmentName(l.seq)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(opts.Dir, segmentName(l.seq)), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -339,16 +363,20 @@ func (l *Log) Append(r Record) error {
 	}
 	frame := AppendFrame(nil, r)
 	n := int64(len(frame))
-	if l.size > 0 && l.size+n > l.opts.SegmentBytes {
+	// The fit is re-checked after every wait for an in-flight flush:
+	// another appender may have rotated meanwhile, leaving room.
+	for l.size > 0 && l.size+n > l.opts.SegmentBytes {
+		if l.syncing {
+			l.cond.Wait()
+			continue
+		}
 		if err := l.rotateLocked(); err != nil {
 			return err
 		}
 	}
-	if _, err := l.f.Write(frame); err != nil {
+	if err := l.writeLocked(frame); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	l.size += n
-	l.bytes += n
 	l.opts.Metrics.Inc("wal.append.records")
 	if tr := l.opts.Tracer; tr != nil {
 		tr.Emit(obs.Event{VT: l.now(), Type: obs.EvWALAppend,
@@ -394,6 +422,28 @@ func typeName(t RecordType) string {
 		return "reclaim"
 	}
 	return fmt.Sprintf("type%d", t)
+}
+
+// writeLocked writes frame at the current segment's logical end. When the
+// frame would cross the filled end, it first extends the file with zeros
+// in fillStep steps, never past the rotation point max(SegmentBytes, end
+// of this frame). Callers hold l.mu.
+func (l *Log) writeLocked(frame []byte) error {
+	end := l.size + int64(len(frame))
+	limit := max(l.opts.SegmentBytes, end)
+	for l.filled < end {
+		n, err := l.f.WriteAt(zeroFill[:min(fillStep, limit-l.filled)], l.filled)
+		l.filled += int64(n)
+		if err != nil {
+			return err
+		}
+	}
+	if _, err := l.f.WriteAt(frame, l.size); err != nil {
+		return err
+	}
+	l.size = end
+	l.bytes += int64(len(frame))
+	return nil
 }
 
 // commitLocked returns once an fsync covering the first end appended
@@ -460,7 +510,25 @@ func (l *Log) flushLocked(now int64) error {
 	return nil
 }
 
-// rotateLocked fsyncs and closes the current segment and starts the next.
+// sealLocked truncates the current segment's zero-filled remainder, so
+// the file ends at its last frame, then fsyncs any unsynced appends. It
+// waits out an in-flight group-commit flush first; rotation and Close use
+// it. The truncate gets no fsync of its own: a crash that loses it leaves
+// a zero remainder, which readers skip. Callers hold l.mu.
+func (l *Log) sealLocked() error {
+	for l.syncing {
+		l.cond.Wait()
+	}
+	if l.filled > l.size {
+		if err := l.f.Truncate(l.size); err != nil {
+			return fmt.Errorf("wal: truncate segment remainder: %w", err)
+		}
+		l.filled = l.size
+	}
+	return l.flushLocked(l.now())
+}
+
+// rotateLocked seals and closes the current segment and starts the next.
 // It waits for any in-flight group-commit flush (the leader holds the
 // old segment's file handle), and tolerates losing that wait-race to
 // another rotator: a zero-size segment means the rotation already
@@ -472,19 +540,19 @@ func (l *Log) rotateLocked() error {
 	if l.size == 0 {
 		return nil
 	}
-	if err := l.flushLocked(l.now()); err != nil {
+	if err := l.sealLocked(); err != nil {
 		return err
 	}
 	if err := l.f.Close(); err != nil {
 		return err
 	}
 	l.seq++
-	f, err := os.OpenFile(filepath.Join(l.opts.Dir, segmentName(l.seq)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(l.opts.Dir, segmentName(l.seq)), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
 	l.f = f
-	l.size = 0
+	l.size, l.filled = 0, 0
 	l.rotations++
 	return nil
 }
@@ -513,11 +581,9 @@ func (l *Log) Checkpoint(payload []byte) error {
 		return err
 	}
 	frame := AppendFrame(nil, Record{Type: RecCheckpoint, Payload: payload})
-	if _, err := l.f.Write(frame); err != nil {
+	if err := l.writeLocked(frame); err != nil {
 		return fmt.Errorf("wal: checkpoint: %w", err)
 	}
-	l.size += int64(len(frame))
-	l.bytes += int64(len(frame))
 	if err := l.flushLocked(l.now()); err != nil {
 		return err
 	}
@@ -568,14 +634,15 @@ func Fsync(path string) error {
 	return err
 }
 
-// Close fsyncs and closes the log. Further appends fail.
+// Close truncates the live segment's zero-filled remainder, fsyncs, and
+// closes the log. Further appends fail.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return nil
 	}
-	if err := l.flushLocked(l.now()); err != nil {
+	if err := l.sealLocked(); err != nil {
 		return err
 	}
 	l.closed = true
@@ -590,17 +657,21 @@ type ReplayStats struct {
 	// Segments is the number of segment files read.
 	Segments int
 	// Truncated is the number of bytes discarded after the last valid
-	// frame (the torn tail; nonzero only when the writer was killed
-	// mid-append and the log has not been reopened since).
+	// frame, up to the last nonzero byte (the torn tail; nonzero only
+	// when the writer was killed mid-append and the log has not been
+	// reopened since). A zero-filled remainder is not counted.
 	Truncated int64
 }
 
 // Replay reads every segment of dir in sequence order and delivers each
 // valid record to fn. Replay stops cleanly at the first invalid frame —
 // everything after a torn or corrupt frame is untrusted, preserving the
-// committed-prefix guarantee — and reports what it skipped. A missing
-// directory replays zero records. A non-nil error from fn aborts the
-// replay and is returned.
+// committed-prefix guarantee — and reports what it skipped. An all-zero
+// remainder after a segment's last valid frame is preallocated fill, not
+// a torn tail, and Replay continues with the next segment: a crash can
+// persist a rotation's new segment before the old one's truncate. A
+// missing directory replays zero records. A non-nil error from fn aborts
+// the replay and is returned.
 func Replay(dir string, fn func(Record) error) (ReplayStats, error) {
 	var stats ReplayStats
 	seqs, err := segments(dir)
@@ -623,17 +694,28 @@ func Replay(dir string, fn func(Record) error) (ReplayStats, error) {
 			}
 			stats.Records++
 		}
-		if valid < len(data) {
+		if torn := tornBytes(data, valid); torn > 0 {
 			// Torn tail: count the rest of this segment and every later
 			// segment as discarded, then stop.
-			stats.Truncated += int64(len(data) - valid)
+			stats.Truncated += torn
 			for _, later := range seqs[i+1:] {
-				if fi, err := os.Stat(filepath.Join(dir, segmentName(later))); err == nil {
-					stats.Truncated += fi.Size()
+				if data, err := os.ReadFile(filepath.Join(dir, segmentName(later))); err == nil {
+					stats.Truncated += tornBytes(data, 0)
 				}
 			}
 			return stats, nil
 		}
 	}
 	return stats, nil
+}
+
+// tornBytes returns how many bytes after the valid prefix data[:valid]
+// are torn: those up to the last nonzero byte. The all-zero rest is the
+// writer's preallocated remainder.
+func tornBytes(data []byte, valid int) int64 {
+	end := len(data)
+	for end > valid && data[end-1] == 0 {
+		end--
+	}
+	return int64(end - valid)
 }

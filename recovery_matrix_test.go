@@ -148,7 +148,8 @@ func assertPrefixState(t *testing.T, cut int, full map[string]bool, s *oct.Store
 
 // TestRecoveryMatrixKillAtEveryByte is the acceptance scenario: the E10
 // workload's log is truncated at every record boundary and at three
-// offsets inside every frame, and every cut must recover cleanly.
+// offsets inside every frame, and every cut must recover cleanly, with
+// and without the zero-filled remainder a preallocated segment keeps.
 func TestRecoveryMatrixKillAtEveryByte(t *testing.T) {
 	walDir := t.TempDir()
 	sys := durableFaultWorkload(t, recoveryPlan, walDir, 0)
@@ -179,6 +180,15 @@ func TestRecoveryMatrixKillAtEveryByte(t *testing.T) {
 		prev = end
 	}
 
+	// A crash of a preallocated live segment leaves the cut followed by
+	// the writer's zero-filled remainder: each cut is also recovered with
+	// a 64 KiB zero tail, which must reach the bare cut's version map and
+	// count the same torn bytes — none at a record boundary.
+	zeroTail := make([]byte, 64<<10)
+	boundary := map[int]bool{0: true}
+	for _, end := range ends {
+		boundary[end] = true
+	}
 	scratch := t.TempDir()
 	for cut := range cuts {
 		dir := filepath.Join(scratch, fmt.Sprintf("cut-%06d", cut))
@@ -202,8 +212,27 @@ func TestRecoveryMatrixKillAtEveryByte(t *testing.T) {
 				t.Errorf("full log reported %d truncated bytes", stats.Truncated)
 			}
 		}
+
+		tailed := append(append([]byte(nil), data[:cut]...), zeroTail...)
+		if err := os.WriteFile(filepath.Join(dir, "wal-00000001.log"), tailed, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		zs, zstats, err := oct.Recover(nil, dir, nil)
+		if err != nil {
+			t.Fatalf("cut %d + zero tail: recovery failed: %v", cut, err)
+		}
+		if got, want := zs.VersionMapText(), s.VersionMapText(); got != want {
+			t.Errorf("cut %d + zero tail: version map differs from the bare cut:\n--- bare ---\n%s--- tailed ---\n%s",
+				cut, want, got)
+		}
+		if zstats.Truncated != stats.Truncated {
+			t.Errorf("cut %d + zero tail: %d truncated bytes, bare cut %d", cut, zstats.Truncated, stats.Truncated)
+		}
+		if boundary[cut] && zstats.Truncated != 0 {
+			t.Errorf("cut %d (record boundary) + zero tail: %d truncated bytes, want 0", cut, zstats.Truncated)
+		}
 	}
-	t.Logf("recovered %d cuts over %d records (%d bytes)", len(cuts), len(recs), len(data))
+	t.Logf("recovered %d cuts, bare and zero-tailed, over %d records (%d bytes)", len(cuts), len(recs), len(data))
 }
 
 // TestRecoveryMatrixWithReclaim is the reclaim dimension of the matrix:
