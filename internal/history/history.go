@@ -278,13 +278,6 @@ func (s *Stream) CacheState(r *Record) {
 	r.cachedState = state
 }
 
-// DropCache clears a record's cached state.
-func (s *Stream) DropCache(r *Record) {
-	if r != nil {
-		r.cachedState = nil
-	}
-}
-
 // AttachPoint implements the appending convention of §5.3/Fig 5.6. A task
 // invocation captures its invocation cursor plus a path number (the index
 // of the cursor child-branch the invocation extends; an index past the

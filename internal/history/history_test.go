@@ -108,7 +108,7 @@ func TestThreadStateCaching(t *testing.T) {
 	if visited != 2 {
 		t.Errorf("visited %d with cache, want 2", visited)
 	}
-	s.DropCache(recs[7])
+	recs[7].cachedState = nil
 	_, visited = s.ThreadState(recs[9])
 	if visited != 10 {
 		t.Errorf("visited %d without cache, want 10", visited)

@@ -79,7 +79,7 @@ func TestCachingNeverChangesState(t *testing.T) {
 		s, recs := randomStream(seed, n)
 		// Drop all caches, record reference states.
 		for _, r := range recs {
-			s.DropCache(r)
+			r.cachedState = nil
 		}
 		want := make([]map[oct.Ref]bool, len(recs))
 		for i, r := range recs {

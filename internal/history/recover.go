@@ -119,15 +119,3 @@ func (s *Stream) ApplyLogged(data []byte) (*Record, error) {
 	}
 	return rp, nil
 }
-
-// Recover rebuilds a control stream by replaying EncodeRecord payloads
-// in log order.
-func Recover(payloads [][]byte) (*Stream, error) {
-	s := NewStream()
-	for i, p := range payloads {
-		if _, err := s.ApplyLogged(p); err != nil {
-			return nil, fmt.Errorf("history: replay payload %d: %w", i, err)
-		}
-	}
-	return s, nil
-}

@@ -2,6 +2,7 @@ package history
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -74,10 +75,22 @@ func (b *loggedBuilder) linear(n int) []*Record {
 	return recs
 }
 
+// replay rebuilds a control stream by applying EncodeRecord payloads in
+// log order, as the activity manager does under core.Recover.
+func replay(payloads [][]byte) (*Stream, error) {
+	s := NewStream()
+	for i, p := range payloads {
+		if _, err := s.ApplyLogged(p); err != nil {
+			return nil, fmt.Errorf("replay payload %d: %w", i, err)
+		}
+	}
+	return s, nil
+}
+
 func TestRecoverLinear(t *testing.T) {
 	b := newLoggedBuilder(t)
 	b.linear(4)
-	got, err := Recover(b.payloads)
+	got, err := replay(b.payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +103,7 @@ func TestRecoverBranchAndSplice(t *testing.T) {
 	b.append(rec("alt", "alt1"), recs[0]) // rework branch
 	b.insertBefore(rec("fix", "fix1"), recs[0], recs[1])
 
-	got, err := Recover(b.payloads)
+	got, err := replay(b.payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +122,7 @@ func TestRecoverSpliceAtRoot(t *testing.T) {
 	b := newLoggedBuilder(t)
 	recs := b.linear(2)
 	b.insertBefore(rec("pre", "pre1"), nil, recs[0])
-	got, err := Recover(b.payloads)
+	got, err := replay(b.payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +138,7 @@ func TestRecoverCachedState(t *testing.T) {
 	b.s.CacheState(r0)
 	b.log(r0) // encoded with the cached flag set, before any child exists
 	recs := []*Record{r0, b.append(rec("t2", "o2"), r0)}
-	got, err := Recover(b.payloads)
+	got, err := replay(b.payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +177,7 @@ func TestRecoverErrors(t *testing.T) {
 	b := newLoggedBuilder(t)
 	b.linear(2)
 	// Drop the first payload: the second references a missing parent.
-	if _, err := Recover(b.payloads[1:]); err == nil {
+	if _, err := replay(b.payloads[1:]); err == nil {
 		t.Error("replay with missing parent succeeded")
 	}
 	if _, err := NewStream().ApplyLogged([]byte("{not json")); err == nil {

@@ -1,8 +1,9 @@
 package oct
 
 // Durability: the store appends one WAL record per committed version
-// batch — a transaction commit, a direct Put, a visibility change, or a
-// physical Remove — while the touched stripe locks are still held.
+// batch — a transaction commit (Store.Put is a one-write transaction), a
+// Hide, or a reclaim batch (reclaim.go) — while the touched stripe locks
+// are still held.
 // Holding the locks across the append means WAL order agrees with
 // version-assignment order for any single name, so a crash at any byte
 // leaves a per-name contiguous committed prefix (docs/DURABILITY.md).
@@ -11,18 +12,17 @@ package oct
 // the caller — a task invocation, a rework, an import, a sweep — commits
 // the log once (wal.Log.Commit). A caller that mutates the store
 // directly acknowledges its own writes with Store.WAL().Commit(), which
-// is nil-safe. Recovery restores the latest JSON snapshot and replays
-// the log tail from that snapshot's checkpoint record, whose fingerprint
-// verifies the restored content; commit replay is idempotent anyway.
+// is nil-safe. Recovery (core.Recover) restores the latest JSON snapshot
+// with Restore and replays the log tail from that snapshot's checkpoint
+// record through ReplayWALRecord; the checkpoint's fingerprint verifies
+// the restored content, and commit replay is idempotent anyway.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 
-	"papyrus/internal/obs"
 	"papyrus/internal/wal"
 )
 
@@ -53,14 +53,14 @@ type walSet struct {
 }
 
 // walCommit is the RecOCTCommit payload: everything one atomic store
-// operation changed. Writes carry explicit store-assigned version
-// numbers, which is what makes replay idempotent and order-independent
-// across disjoint names.
+// operation changed — the versions a commit created, or the visibility
+// set a Hide made (physical deletion is RecReclaim). Writes carry
+// explicit store-assigned version numbers, which is what makes replay
+// idempotent and order-independent across disjoint names.
 type walCommit struct {
-	Writes  []walWrite `json:"writes,omitempty"`
-	Sets    []walSet   `json:"sets,omitempty"`
-	Removes []Ref      `json:"removes,omitempty"`
-	Clock   int64      `json:"clock"`
+	Writes []walWrite `json:"writes,omitempty"`
+	Sets   []walSet   `json:"sets,omitempty"`
+	Clock  int64      `json:"clock"`
 }
 
 // marshalValue encodes a payload through its registered codec.
@@ -163,8 +163,8 @@ func (s *Store) ReplayWALRecord(r wal.Record) (applied bool, err error) {
 
 // applyWALCommit replays one commit batch. Writes whose version slot is
 // already occupied (covered by the snapshot) are skipped; visibility sets
-// and removes re-apply harmlessly in log order. Recovery is
-// single-threaded, so plain lock/unlock per name suffices.
+// re-apply harmlessly in log order. Recovery is single-threaded, so plain
+// lock/unlock per name suffices.
 func (s *Store) applyWALCommit(c walCommit) (bool, error) {
 	applied := false
 	for _, w := range c.Writes {
@@ -205,49 +205,8 @@ func (s *Store) applyWALCommit(c walCommit) (bool, error) {
 		}
 		st.mu.Unlock()
 	}
-	for _, rm := range c.Removes {
-		st := s.stripeFor(rm.Name)
-		s.lock(st)
-		if obj := st.index.Delete(rm.Name, rm.Version); obj != nil {
-			s.bytes.Add(-int64(obj.Data.Size()))
-			applied = true
-		}
-		st.mu.Unlock()
-	}
 	if s.clock.Load() < c.Clock {
 		s.clock.Store(c.Clock)
 	}
 	return applied, nil
-}
-
-// Recover rebuilds a store alone from a store snapshot (nil for none)
-// plus the WAL tail in walDir, verifying every checkpoint record against
-// the replayed content and bumping wal.recover.* counters on metrics
-// (nil-safe); core.Recover is the session-level reader. The stats report
-// how much log was read and how many torn bytes were left unusable.
-func Recover(snapshot io.Reader, walDir string, metrics *obs.Registry) (*Store, wal.ReplayStats, error) {
-	s := NewStore()
-	if snapshot != nil {
-		if err := s.Restore(snapshot); err != nil {
-			return nil, wal.ReplayStats{}, err
-		}
-	}
-	stats, err := wal.Replay(walDir, func(r wal.Record) error {
-		applied, err := s.ReplayWALRecord(r)
-		if err != nil {
-			return err
-		}
-		if applied {
-			metrics.Inc("wal.recover.applied")
-		} else {
-			metrics.Inc("wal.recover.skipped")
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	metrics.Add("wal.recover.records", int64(stats.Records))
-	metrics.Add("wal.recover.segments", int64(stats.Segments))
-	return s, stats, nil
 }

@@ -3,6 +3,8 @@ package oct
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -23,6 +25,54 @@ func walStore(t *testing.T, dir string) (*Store, *wal.Log) {
 	return s, l
 }
 
+// recoverStore rebuilds a store alone from a store snapshot (nil for
+// none) plus the WAL tail in walDir, through the primitives core.Recover
+// composes: Restore, then wal.Replay over ReplayWALRecord, which verifies
+// every checkpoint record against the replayed content. It bumps the
+// wal.recover.* counters on metrics (nil-safe) as core.Recover does.
+func recoverStore(snapshot io.Reader, walDir string, metrics *obs.Registry) (*Store, wal.ReplayStats, error) {
+	s := NewStore()
+	if snapshot != nil {
+		if err := s.Restore(snapshot); err != nil {
+			return nil, wal.ReplayStats{}, err
+		}
+	}
+	stats, err := wal.Replay(walDir, func(r wal.Record) error {
+		applied, err := s.ReplayWALRecord(r)
+		if err != nil {
+			return err
+		}
+		if applied {
+			metrics.Inc("wal.recover.applied")
+		} else {
+			metrics.Inc("wal.recover.skipped")
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, stats, err
+	}
+	metrics.Add("wal.recover.records", int64(stats.Records))
+	metrics.Add("wal.recover.segments", int64(stats.Segments))
+	return s, stats, nil
+}
+
+// segmentFiles counts the log segments in dir.
+func segmentFiles(t *testing.T, dir string) int {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), "wal-") && strings.HasSuffix(e.Name(), ".log") {
+			n++
+		}
+	}
+	return n
+}
+
 // TestWALReplayRebuildsStore: a seeded random history through a
 // WAL-attached store, recovered from the log alone, must reproduce the
 // full externally observable state.
@@ -36,7 +86,7 @@ func TestWALReplayRebuildsStore(t *testing.T) {
 				t.Fatal(err)
 			}
 			reg := obs.NewRegistry()
-			recovered, stats, err := Recover(nil, dir, reg)
+			recovered, stats, err := recoverStore(nil, dir, reg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +120,7 @@ func TestSnapshotCheckpointRecover(t *testing.T) {
 	if err := l.Prune(); err != nil {
 		t.Fatal(err)
 	}
-	if n := l.SegmentCount(); n != 1 {
+	if n := segmentFiles(t, dir); n != 1 {
 		t.Fatalf("segments after checkpoint = %d, want 1 (compaction)", n)
 	}
 	// Post-checkpoint delta.
@@ -79,7 +129,7 @@ func TestSnapshotCheckpointRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered, _, err := Recover(bytes.NewReader(snap.Bytes()), dir, nil)
+	recovered, _, err := recoverStore(bytes.NewReader(snap.Bytes()), dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +137,7 @@ func TestSnapshotCheckpointRecover(t *testing.T) {
 
 	// Recovering the same log without its snapshot must fail loudly at the
 	// checkpoint record: the log's delta is meaningless without its base.
-	if _, _, err := Recover(nil, dir, nil); err == nil ||
+	if _, _, err := recoverStore(nil, dir, nil); err == nil ||
 		!strings.Contains(err.Error(), "fingerprint mismatch") {
 		t.Fatalf("recover without snapshot: err = %v, want fingerprint mismatch", err)
 	}
@@ -111,7 +161,7 @@ func TestRecoverIdempotentOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	recovered, _, err := Recover(bytes.NewReader(snap.Bytes()), dir, reg)
+	recovered, _, err := recoverStore(bytes.NewReader(snap.Bytes()), dir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +185,7 @@ func TestCommitDurableBeforeAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The log is still open; its acknowledged frames must replay anyway.
-	recovered, _, err := Recover(nil, dir, nil)
+	recovered, _, err := recoverStore(nil, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +225,8 @@ func TestRestoreResetsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A used store: one version put and removed (so it is empty again, as
-	// Restore requires) and one deterministically contended acquisition.
+	// A used store: two versions put and reclaimed (so it is empty again,
+	// as Restore requires) and one deterministically contended acquisition.
 	s := NewStore()
 	if _, err := s.Put("/used/x", TypeText, Text("transient"), "test"); err != nil {
 		t.Fatal(err)
@@ -195,12 +245,7 @@ func TestRestoreResetsAccounting(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Remove(Ref{Name: "/used/x", Version: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Remove(Ref{Name: "/used/x", Version: 2}); err != nil {
-		t.Fatal(err)
-	}
+	erase(t, s, Ref{Name: "/used/x", Version: 1}, Ref{Name: "/used/x", Version: 2})
 	// Force drift in the bytes gauge too, as an aggressive stand-in for
 	// any accounting skew the store accumulated while in service.
 	s.bytes.Add(9999)
@@ -239,7 +284,7 @@ func TestRecoverTornTailIsPrefix(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recovered, _, err := Recover(nil, dir, nil)
+	recovered, _, err := recoverStore(nil, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

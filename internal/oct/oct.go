@@ -17,6 +17,12 @@
 // Object names follow OCT's cell:view:facet convention; versions are
 // written name@version.
 //
+// Each store job has one path. Every version is created by Txn.Commit
+// (Put is a one-write transaction); Hide is the only visibility change;
+// InvisibleSlice is the only reclaim-candidate scan and ReclaimVersions
+// the only physical delete. Restore and ReplayWALRecord are the recovery
+// primitives core.Recover composes.
+//
 // Concurrency: the store is lock-striped. Object names hash to one of
 // StripeCount buckets, each with its own RWMutex, so parallel sessions
 // operating on disjoint cells never contend — the LWT model's premise that
@@ -241,43 +247,25 @@ func (s *Store) Clock() int64 { return s.clock.Load() }
 
 // Put creates a new version of name with the given type and payload and
 // returns it. The version number is assigned by the store (§3.2: "version
-// numbers are managed by the system"). With a WAL attached, the version
-// is appended to the log before Put returns — still under the stripe
-// lock, so log order matches version order — and a logging failure fails
-// the Put. It is durable once the caller commits the log (durable.go).
+// numbers are managed by the system"). It is a one-write transaction, so
+// it is validated, logged and made durable exactly like a step's writes
+// (Txn.Commit).
 func (s *Store) Put(name string, typ Type, data Value, creator string) (*Object, error) {
-	if name == "" {
-		return nil, fmt.Errorf("oct: empty object name")
+	t := s.Begin()
+	if _, err := t.Put(name, typ, data, creator); err != nil {
+		return nil, err
 	}
-	if data == nil {
-		return nil, fmt.Errorf("oct: nil payload for %q", name)
-	}
-	var raw []byte
-	if s.wal != nil {
-		var err error
-		if raw, err = marshalValue(typ, data); err != nil {
-			return nil, err
-		}
-	}
-	st := s.stripeFor(name)
-	s.lock(st)
-	defer st.mu.Unlock()
-	obj, err := s.putOn(st, name, typ, data, creator)
+	objs, err := t.Commit()
 	if err != nil {
 		return nil, err
 	}
-	if s.wal != nil {
-		if err := s.appendCommit(walCommit{Writes: []walWrite{walWriteFor(obj, raw)}}); err != nil {
-			return nil, err
-		}
-	}
-	return obj, nil
+	return objs[0], nil
 }
 
 // putOn appends a version under a held stripe lock. The index assigns
 // the version number (ChainLen+1 — §3.2: "version numbers are managed
 // by the system").
-func (s *Store) putOn(st *stripe, name string, typ Type, data Value, creator string) (*Object, error) {
+func (s *Store) putOn(st *stripe, name string, typ Type, data Value, creator string) *Object {
 	obj := &Object{
 		Name:    name,
 		Type:    typ,
@@ -298,7 +286,7 @@ func (s *Store) putOn(st *stripe, name string, typ Type, data Value, creator str
 			Args: map[string]string{"creator": creator, "type": string(typ)},
 		})
 	}
-	return obj, nil
+	return obj
 }
 
 // Get returns the referenced object. Version 0 resolves to the most recent
@@ -401,18 +389,10 @@ func (s *Store) Names() []string {
 }
 
 // Hide logically deletes a version: it stays on disk but stops resolving as
-// "latest" and becomes a candidate for reclamation (§3.3.1).
+// "latest" and becomes a candidate for reclamation (§3.3.1). It is the
+// store's only visibility change; with a WAL attached it is logged as one
+// RecOCTCommit visibility set.
 func (s *Store) Hide(ref Ref) error {
-	return s.setVisible(ref, false)
-}
-
-// Unhide reverses Hide before the reclaimer has physically deleted the
-// version.
-func (s *Store) Unhide(ref Ref) error {
-	return s.setVisible(ref, true)
-}
-
-func (s *Store) setVisible(ref Ref, v bool) error {
 	st := s.stripeFor(ref.Name)
 	s.lock(st)
 	defer st.mu.Unlock()
@@ -420,10 +400,10 @@ func (s *Store) setVisible(ref Ref, v bool) error {
 	if err != nil {
 		return err
 	}
-	obj.visible = v
+	obj.visible = false
 	obj.lastAccess = s.tick()
 	if s.wal != nil {
-		return s.appendCommit(walCommit{Sets: []walSet{{Name: obj.Name, Version: obj.Version, Visible: v}}})
+		return s.appendCommit(walCommit{Sets: []walSet{{Name: obj.Name, Version: obj.Version, Visible: false}}})
 	}
 	return nil
 }
@@ -438,51 +418,6 @@ func (s *Store) Visible(ref Ref) (bool, error) {
 		return false, err
 	}
 	return obj.visible, nil
-}
-
-// Remove physically deletes a version, releasing its storage. Version
-// numbers of other versions are unaffected (a hole remains), preserving
-// existing references.
-func (s *Store) Remove(ref Ref) error {
-	st := s.stripeFor(ref.Name)
-	s.lock(st)
-	defer st.mu.Unlock()
-	if ref.Version == 0 {
-		return fmt.Errorf("oct: Remove requires an explicit version: %q", ref.Name)
-	}
-	obj := st.index.Delete(ref.Name, ref.Version)
-	if obj == nil {
-		return fmt.Errorf("oct: no version %d of %q", ref.Version, ref.Name)
-	}
-	s.bytes.Add(-int64(obj.Data.Size()))
-	if s.wal != nil {
-		return s.appendCommit(walCommit{Removes: []Ref{{Name: ref.Name, Version: ref.Version}}})
-	}
-	return nil
-}
-
-// InvisibleOlderThan returns refs of invisible versions whose last access
-// stamp is at or below the cutoff — the reclaimer's candidate set.
-func (s *Store) InvisibleOlderThan(cutoff int64) []Ref {
-	var out []Ref
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.RLock()
-		st.index.Range(func(v *Object) bool {
-			if !v.visible && v.lastAccess <= cutoff {
-				out = append(out, Ref{Name: v.Name, Version: v.Version})
-			}
-			return true
-		})
-		st.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Version < out[j].Version
-	})
-	return out
 }
 
 // TotalBytes returns the store's accounted payload size.

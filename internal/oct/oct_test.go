@@ -95,7 +95,7 @@ func TestRefStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHideUnhideResolution(t *testing.T) {
+func TestHideResolution(t *testing.T) {
 	s := NewStore()
 	s.Put("c", TypeText, Text("1"), "")
 	s.Put("c", TypeText, Text("2"), "")
@@ -109,16 +109,37 @@ func TestHideUnhideResolution(t *testing.T) {
 	if latest.Version != 1 {
 		t.Errorf("latest visible = v%d, want v1", latest.Version)
 	}
-	// Explicit version still reachable while hidden (undelete window).
+	// Explicit version still reachable while hidden, until reclaimed.
 	if _, err := s.Get(Ref{Name: "c", Version: 2}); err != nil {
 		t.Errorf("hidden version unreachable by explicit ref: %v", err)
 	}
-	if err := s.Unhide(Ref{Name: "c", Version: 2}); err != nil {
+	// A bare ref hides the latest visible version.
+	if err := s.Hide(Ref{Name: "c"}); err != nil {
 		t.Fatal(err)
 	}
-	latest, _ = s.Get(Ref{Name: "c"})
-	if latest.Version != 2 {
-		t.Errorf("after Unhide latest = v%d, want v2", latest.Version)
+	if vis, err := s.Visible(Ref{Name: "c", Version: 1}); err != nil || vis {
+		t.Errorf("Visible(c@1) = %v, %v after hiding the latest, want false", vis, err)
+	}
+	if _, err := s.Get(Ref{Name: "c"}); err == nil {
+		t.Error("latest resolved with every version hidden")
+	}
+}
+
+// erase physically deletes versions the way the engine does: Hide, then
+// ReclaimVersions at the current clock.
+func erase(t testing.TB, s *Store, refs ...Ref) {
+	t.Helper()
+	for _, ref := range refs {
+		if err := s.Hide(ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	removed, err := s.ReclaimVersions(refs, s.Clock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(removed) != len(refs) {
+		t.Fatalf("reclaimed %d of %d versions", len(removed), len(refs))
 	}
 }
 
@@ -127,9 +148,7 @@ func TestRemoveLeavesHole(t *testing.T) {
 	s.Put("c", TypeText, Text("one"), "")
 	s.Put("c", TypeText, Text("two"), "")
 	s.Put("c", TypeText, Text("three"), "")
-	if err := s.Remove(Ref{Name: "c", Version: 2}); err != nil {
-		t.Fatal(err)
-	}
+	erase(t, s, Ref{Name: "c", Version: 2})
 	if _, err := s.Get(Ref{Name: "c", Version: 2}); err == nil {
 		t.Error("removed version still readable")
 	}
@@ -142,8 +161,9 @@ func TestRemoveLeavesHole(t *testing.T) {
 	if obj.Version != 4 {
 		t.Errorf("post-removal version = %d, want 4", obj.Version)
 	}
-	if err := s.Remove(Ref{Name: "c"}); err == nil {
-		t.Error("Remove without version should fail")
+	// Reclamation never deletes a visible version.
+	if removed, err := s.ReclaimVersions([]Ref{{Name: "c", Version: 4}}, s.Clock()); err != nil || len(removed) != 0 {
+		t.Errorf("reclaiming visible c@4 = %v, %v; want nothing removed", removed, err)
 	}
 }
 
@@ -154,25 +174,12 @@ func TestStorageAccounting(t *testing.T) {
 	if got := s.TotalBytes(); got != 150 {
 		t.Errorf("TotalBytes = %d, want 150", got)
 	}
-	s.Remove(Ref{Name: "a", Version: 1})
+	erase(t, s, Ref{Name: "a", Version: 1})
 	if got := s.TotalBytes(); got != 50 {
 		t.Errorf("TotalBytes after remove = %d, want 50", got)
 	}
 	if got := s.ObjectCount(); got != 1 {
 		t.Errorf("ObjectCount = %d, want 1", got)
-	}
-}
-
-func TestInvisibleOlderThan(t *testing.T) {
-	s := NewStore()
-	s.Put("old", TypeText, Text("o"), "")
-	s.Put("new", TypeText, Text("n"), "")
-	s.Hide(Ref{Name: "old", Version: 1})
-	cutoff := s.Clock()
-	s.Hide(Ref{Name: "new", Version: 1}) // hidden after cutoff
-	got := s.InvisibleOlderThan(cutoff)
-	if len(got) != 1 || got[0].Name != "old" {
-		t.Errorf("InvisibleOlderThan = %v, want [old@1]", got)
 	}
 }
 
@@ -214,41 +221,6 @@ func TestTxnAbortDiscards(t *testing.T) {
 	}
 	if _, err := tx.Put("y", TypeText, Text("yv"), ""); err == nil {
 		t.Error("Put after Abort should fail")
-	}
-}
-
-func TestTxnReadYourWrites(t *testing.T) {
-	s := NewStore()
-	s.Put("base", TypeText, Text("stored"), "")
-	tx := s.Begin()
-	tx.Put("fresh", TypeText, Text("staged"), "")
-	obj, err := tx.Get(Ref{Name: "fresh"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(obj.Data.(Text)) != "staged" {
-		t.Errorf("read-your-writes payload %q", obj.Data)
-	}
-	obj, err = tx.Get(Ref{Name: "base"})
-	if err != nil || string(obj.Data.(Text)) != "stored" {
-		t.Errorf("pass-through read: %v %v", obj, err)
-	}
-	tx.Abort()
-}
-
-func TestTxnHide(t *testing.T) {
-	s := NewStore()
-	s.Put("c", TypeText, Text("1"), "")
-	tx := s.Begin()
-	tx.Hide(Ref{Name: "c", Version: 1})
-	if vis, _ := s.Visible(Ref{Name: "c", Version: 1}); !vis {
-		t.Fatal("hide applied before commit")
-	}
-	if _, err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if vis, _ := s.Visible(Ref{Name: "c", Version: 1}); vis {
-		t.Fatal("hide not applied at commit")
 	}
 }
 
@@ -360,7 +332,7 @@ func TestNames(t *testing.T) {
 	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
 		t.Errorf("Names = %v", got)
 	}
-	s.Remove(Ref{Name: "alpha", Version: 1})
+	erase(t, s, Ref{Name: "alpha", Version: 1})
 	got = s.Names()
 	if len(got) != 1 || got[0] != "zeta" {
 		t.Errorf("Names after remove = %v", got)

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"papyrus/internal/wal"
 )
 
 // snapshotDoc renders a hand-written snapshot whose entries are all text
@@ -62,30 +64,39 @@ func TestRestoreRejectsBadEntries(t *testing.T) {
 	}
 }
 
-// TestSnapshotKeepsTrailingHoles: removing a name's newest versions leaves
-// holes at the end of its chain, and a snapshot must carry them — after
-// a restore, the next Put continues the original numbering instead of
-// reassigning a removed version (§3.2). It covers a chain with a live
-// prefix, a chain with no live version left, and a chain whose holes are
-// interior only (which needs no record).
+// TestSnapshotKeepsTrailingHoles: reclaiming a name's newest versions
+// leaves holes at the end of its chain, and both recovery inputs must
+// carry them — the snapshot and the WAL's RecReclaim records. After a
+// restore, and after a replay of the log, the next Put continues the
+// original numbering instead of reassigning a reclaimed version (§3.2).
+// It covers a chain with a live prefix, a chain with no live version
+// left, and a chain whose holes are interior only (which needs no
+// snapshot record).
 func TestSnapshotKeepsTrailingHoles(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := NewStoreWithStripes(4)
-	for _, name := range []string{"/tail", "/empty", "/mid"} {
+	s.AttachWAL(l)
+	names := []string{"/tail", "/empty", "/mid"}
+	for _, name := range names {
 		for i := 0; i < 3; i++ {
 			if _, err := s.Put(name, TypeText, Text(name), "t"); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	for _, ref := range []Ref{
-		{Name: "/tail", Version: 3}, {Name: "/tail", Version: 2},
-		{Name: "/empty", Version: 1}, {Name: "/empty", Version: 2}, {Name: "/empty", Version: 3},
-		{Name: "/mid", Version: 2},
-	} {
-		if err := s.Remove(ref); err != nil {
-			t.Fatal(err)
-		}
+	erase(t, s,
+		Ref{Name: "/tail", Version: 3}, Ref{Name: "/tail", Version: 2},
+		Ref{Name: "/empty", Version: 1}, Ref{Name: "/empty", Version: 2}, Ref{Name: "/empty", Version: 3},
+		Ref{Name: "/mid", Version: 2},
+	)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
+	s.AttachWAL(nil)
 	var buf bytes.Buffer
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -97,21 +108,30 @@ func TestSnapshotKeepsTrailingHoles(t *testing.T) {
 	if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"/tail", "/empty", "/mid"} {
+	replayed, _, err := recoverStore(nil, dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	others := map[string]*Store{"restored": restored, "replayed": replayed}
+	for _, name := range names {
 		want, err := s.Put(name, TypeText, Text("next"), "t")
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := restored.Put(name, TypeText, Text("next"), "t")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Version != want.Version || got.Version != 4 {
-			t.Errorf("%s: restored store assigned v%d, original v%d, want v4", name, got.Version, want.Version)
+		for how, other := range others {
+			got, err := other.Put(name, TypeText, Text("next"), "t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Version != want.Version || got.Version != 4 {
+				t.Errorf("%s: %s store assigned v%d, original v%d, want v4", name, how, got.Version, want.Version)
+			}
 		}
 	}
-	if a, b := s.VersionMapText(), restored.VersionMapText(); a != b {
-		t.Errorf("version maps diverged after the next puts:\n%s\nvs\n%s", a, b)
+	for how, other := range others {
+		if a, b := s.VersionMapText(), other.VersionMapText(); a != b {
+			t.Errorf("%s version map diverged after the next puts:\n%s\nvs\n%s", how, a, b)
+		}
 	}
 
 	// A snapshot written before chain lengths were recorded restores as
@@ -147,11 +167,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	for _, ref := range []Ref{{Name: "/f/a", Version: 3}, {Name: "/f/b", Version: 1}} {
-		if err := s.Remove(ref); err != nil {
-			f.Fatal(err)
-		}
-	}
+	erase(f, s, Ref{Name: "/f/a", Version: 3}, Ref{Name: "/f/b", Version: 1})
 	var buf bytes.Buffer
 	if err := s.Snapshot(&buf); err != nil {
 		f.Fatal(err)

@@ -7,48 +7,58 @@ import (
 	"testing/quick"
 )
 
-// TestLatestVisibleMatchesModel: under random Put/Hide/Unhide sequences,
-// latest-version resolution agrees with a simple reference model.
+// TestLatestVisibleMatchesModel: under random Put/Hide/reclaim
+// sequences, latest-version resolution agrees with a simple reference
+// model, and reclamation deletes exactly the hidden versions it is given.
 func TestLatestVisibleMatchesModel(t *testing.T) {
+	const (
+		live = iota
+		hidden
+		gone
+	)
 	f := func(seed int64, opsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ops := int(opsRaw%60) + 1
 		s := NewStore()
-		// Model: per name, a slice of visible flags (index = version-1).
-		model := map[string][]bool{}
+		// Model: per name, a slice of version states (index = version-1).
+		model := map[string][]int{}
 		names := []string{"a", "b", "c"}
 		for i := 0; i < ops; i++ {
 			name := names[rng.Intn(len(names))]
-			switch rng.Intn(3) {
+			op := rng.Intn(3)
+			if op > 0 && len(model[name]) == 0 {
+				continue
+			}
+			switch op {
 			case 0: // Put
 				if _, err := s.Put(name, TypeText, Text(fmt.Sprintf("v%d", i)), ""); err != nil {
 					return false
 				}
-				model[name] = append(model[name], true)
-			case 1: // Hide a random existing version
-				if len(model[name]) == 0 {
-					continue
-				}
+				model[name] = append(model[name], live)
+			case 1: // Hide a random version; a reclaimed one is gone
 				v := rng.Intn(len(model[name])) + 1
-				if err := s.Hide(Ref{Name: name, Version: v}); err != nil {
+				err := s.Hide(Ref{Name: name, Version: v})
+				if (err == nil) != (model[name][v-1] != gone) {
 					return false
 				}
-				model[name][v-1] = false
-			default: // Unhide
-				if len(model[name]) == 0 {
-					continue
+				if err == nil {
+					model[name][v-1] = hidden
 				}
+			default: // Reclaim a random version; only a hidden one goes
 				v := rng.Intn(len(model[name])) + 1
-				if err := s.Unhide(Ref{Name: name, Version: v}); err != nil {
+				removed, err := s.ReclaimVersions([]Ref{{Name: name, Version: v}}, s.Clock())
+				if err != nil || (len(removed) == 1) != (model[name][v-1] == hidden) {
 					return false
 				}
-				model[name][v-1] = true
+				if len(removed) == 1 {
+					model[name][v-1] = gone
+				}
 			}
 			// Check latest-visible resolution for every name.
 			for _, n := range names {
 				want := 0
 				for v := len(model[n]); v >= 1; v-- {
-					if model[n][v-1] {
+					if model[n][v-1] == live {
 						want = v
 						break
 					}
@@ -73,7 +83,7 @@ func TestLatestVisibleMatchesModel(t *testing.T) {
 }
 
 // TestBytesAccountingInvariant: TotalBytes always equals the sum of live
-// version sizes under random Put/Remove.
+// version sizes under random Put and Hide+ReclaimVersions.
 func TestBytesAccountingInvariant(t *testing.T) {
 	f := func(seed int64, opsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -91,7 +101,10 @@ func TestBytesAccountingInvariant(t *testing.T) {
 				live[Ref{Name: "obj", Version: obj.Version}] = size
 			} else {
 				for ref := range live {
-					if err := s.Remove(ref); err != nil {
+					if s.Hide(ref) != nil {
+						return false
+					}
+					if removed, err := s.ReclaimVersions([]Ref{ref}, s.Clock()); err != nil || len(removed) != 1 {
 						return false
 					}
 					delete(live, ref)

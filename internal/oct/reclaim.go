@@ -2,12 +2,13 @@ package oct
 
 // Physical reclamation support (§5.4, docs/RECLAIM.md). The background
 // reclaimer (internal/reclaim) discovers candidates with InvisibleSlice —
-// a budgeted, resumable variant of InvisibleOlderThan — and deletes them
-// with ReclaimVersions, which appends one RecReclaim WAL record per lock
-// stripe *while that stripe's lock is still held*: commit-before-ack,
-// exactly like every other store mutation, so a crash at any log byte
-// leaves the index and the log agreeing about which versions still exist
-// and the kill-at-every-byte matrix converges with sweeps enabled.
+// the store's one candidate scan, budgeted and resumable — and deletes
+// them with ReclaimVersions, the store's one physical delete, which
+// appends one RecReclaim WAL record per lock stripe *while that
+// stripe's lock is still held*: commit-before-ack, exactly like every
+// other store mutation, so a crash at any log byte leaves the index and
+// the log agreeing about which versions still exist and the
+// kill-at-every-byte matrix converges with sweeps enabled.
 
 import (
 	"encoding/json"
@@ -26,14 +27,15 @@ type walReclaim struct {
 	Clock   int64 `json:"clock"`
 }
 
-// InvisibleSlice is the resumable form of InvisibleOlderThan: it scans
-// whole stripes starting at stripe `start`, stopping after `budget`
-// records have been examined (a stripe is never split, so the overshoot
-// is bounded by one stripe's population; budget <= 0 scans everything).
-// It returns the candidate refs sorted by (name, version), the stripe
-// to resume from, and how many records were scanned. When next wraps
-// back to where a full cycle began, the reclaimer has seen every stripe
-// once at this cutoff.
+// InvisibleSlice returns the reclaim candidates: invisible versions whose
+// last access stamp is at or below the cutoff. It scans whole stripes
+// starting at stripe `start`, stopping after `budget` records have been
+// examined (a stripe is never split, so the overshoot is bounded by one
+// stripe's population; budget <= 0 scans everything). It returns the
+// candidate refs sorted by (name, version), the stripe to resume from,
+// and how many records were scanned. When next wraps back to where a
+// full cycle began, the reclaimer has seen every stripe once at this
+// cutoff.
 func (s *Store) InvisibleSlice(cutoff int64, start, budget int) (refs []Ref, next int, scanned int) {
 	n := len(s.stripes)
 	if start < 0 || start >= n {
@@ -68,13 +70,12 @@ func (s *Store) InvisibleSlice(cutoff int64, start, budget int) (refs []Ref, nex
 
 // ReclaimVersions physically deletes the given candidate versions,
 // re-checking each one under its stripe lock: versions that no longer
-// exist, have been made visible again, or have been accessed after the
-// cutoff are skipped (the candidate scan runs outside the locks, so a
-// concurrent Unhide or Get must win the race). Deletions are grouped by
-// stripe and applied in ascending stripe order; with a WAL attached,
-// each stripe's batch is logged as one RecReclaim record before the
-// stripe lock is released. Returns the deleted objects sorted by
-// (name, version).
+// exist, are visible, or have been accessed after the cutoff are skipped
+// (the candidate scan runs outside the locks, so a concurrent Get must
+// win the race). Deletions are grouped by stripe and applied in
+// ascending stripe order; with a WAL attached, each stripe's batch is
+// logged as one RecReclaim record before the stripe lock is released.
+// Returns the deleted objects sorted by (name, version).
 func (s *Store) ReclaimVersions(refs []Ref, cutoff int64) ([]*Object, error) {
 	byStripe := make(map[int][]Ref)
 	for _, ref := range refs {
@@ -169,9 +170,9 @@ func (s *Store) applyWALReclaim(p walReclaim) (bool, error) {
 }
 
 // TotalWrittenBytes returns the cumulative payload bytes ever written
-// into this store — Put/transaction writes plus replayed WAL writes;
-// never decremented by Hide, Remove, or reclamation. Like
-// StripeContention it is a probe, not a registry metric. The bounded-
-// memory experiment (EXPERIMENTS.md E17) reports
-// TotalBytes()/TotalWrittenBytes() as the live-set ratio.
+// into this store — committed writes plus replayed WAL writes; never
+// decremented by Hide or reclamation. Like StripeContention it is a
+// probe, not a registry metric. The bounded-memory experiment
+// (EXPERIMENTS.md E17) reports TotalBytes()/TotalWrittenBytes() as the
+// live-set ratio.
 func (s *Store) TotalWrittenBytes() int64 { return s.written.Load() }

@@ -27,6 +27,10 @@ func TestInvisibleSliceBudgetResume(t *testing.T) {
 		}
 	}
 	cutoff := s.Clock()
+	// Hidden after the cutoff: too recent to be a candidate.
+	if err := s.Hide(Ref{Name: "/rc/n00", Version: 3}); err != nil {
+		t.Fatal(err)
+	}
 
 	all, next, scanned := s.InvisibleSlice(cutoff, 0, 0)
 	if len(all) != len(hidden) {
@@ -132,7 +136,7 @@ func TestReclaimVersionsGuardsAndDurability(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recovered, _, err := Recover(nil, dir, nil)
+	recovered, _, err := recoverStore(nil, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

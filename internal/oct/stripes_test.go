@@ -146,7 +146,7 @@ func TestStripeContentionProbe(t *testing.T) {
 }
 
 // replayHistory applies 2000 pseudo-random operations to the store. The
-// name pool is small enough that versions stack up and hide/remove/txn
+// name pool is small enough that versions stack up and hide/reclaim/txn
 // operations frequently hit live objects.
 func replayHistory(t *testing.T, seed int64, s *Store) {
 	t.Helper()
@@ -168,16 +168,13 @@ func replayHistory(t *testing.T, seed int64, s *Store) {
 			if _, err := s.Put(pick(), TypeText, data, "prop"); err != nil {
 				t.Fatalf("op %d: put: %v", op, err)
 			}
-		case 3, 4: // transaction: a few puts + maybe a hide, commit or abort
+		case 3, 4: // transaction: a few puts, commit or abort
 			txn := s.Begin()
 			for i := 0; i < 1+rng.Intn(3); i++ {
 				data := Text(fmt.Sprintf("txn-%d-%d-%d", seed, op, i))
 				if _, err := txn.Put(pick(), TypeText, data, "prop"); err != nil {
 					t.Fatalf("op %d: txn put: %v", op, err)
 				}
-			}
-			if rng.Intn(2) == 0 {
-				_ = txn.Hide(randRef()) // missing ref is not an error
 			}
 			if rng.Intn(4) == 0 {
 				txn.Abort()
@@ -186,12 +183,21 @@ func replayHistory(t *testing.T, seed int64, s *Store) {
 			}
 		case 5: // hide whatever the ref resolves to
 			_ = s.Hide(randRef())
-		case 6: // unhide
-			_ = s.Unhide(randRef())
-		case 7: // remove a specific version if it exists
+		case 6: // sweep every version hidden at or before a recent cutoff
+			cutoff := s.Clock() - int64(rng.Intn(64))
+			refs, _, _ := s.InvisibleSlice(cutoff, 0, 0)
+			if _, err := s.ReclaimVersions(refs, cutoff); err != nil {
+				t.Fatalf("op %d: sweep: %v", op, err)
+			}
+		case 7: // physically delete a specific version: hide, then reclaim
 			name := pick()
 			if latest := s.LatestVersion(name); latest > 0 {
-				_ = s.Remove(Ref{Name: name, Version: 1 + rng.Intn(latest)})
+				ref := Ref{Name: name, Version: 1 + rng.Intn(latest)}
+				if s.Hide(ref) == nil {
+					if _, err := s.ReclaimVersions([]Ref{ref}, s.Clock()); err != nil {
+						t.Fatalf("op %d: reclaim: %v", op, err)
+					}
+				}
 			}
 		case 8: // reads only bump access metadata, excluded from the map
 			_, _ = s.Get(randRef())
@@ -231,35 +237,5 @@ func compareStores(t *testing.T, a, b *Store) {
 				t.Fatalf("%s: Visible %v/%v vs %v/%v", ref, va, errA, vb, errB)
 			}
 		}
-	}
-}
-
-// TestTxnStripes pins HideCount, which the task manager consults to
-// decide whether a completed step is memoizable: it counts staged hides,
-// not writes, and stays readable after Commit.
-func TestTxnStripes(t *testing.T) {
-	s := NewStoreWithStripes(8)
-	seed, err := s.Put("/seed", TypeText, Text("v"), "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	txn := s.Begin()
-	for _, name := range []string{"/a", "/b", "/a"} {
-		if _, err := txn.Put(name, TypeText, Text("v"), "test"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := txn.Hide(Ref{Name: seed.Name, Version: seed.Version}); err != nil {
-		t.Fatal(err)
-	}
-	if got := txn.HideCount(); got != 1 {
-		t.Fatalf("HideCount = %d, want 1", got)
-	}
-	if _, err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := txn.HideCount(); got != 1 {
-		t.Fatalf("HideCount after Commit = %d, want 1", got)
 	}
 }

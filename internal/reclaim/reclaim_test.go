@@ -406,7 +406,7 @@ func TestSweepBudgetResumes(t *testing.T) {
 	if sweeps < 2 {
 		t.Errorf("budget 7 finished in %d sweep(s) — the budget did not slice the scan", sweeps)
 	}
-	if remaining := store.InvisibleOlderThan(store.Clock()); len(remaining) != 0 {
+	if remaining, _, _ := store.InvisibleSlice(store.Clock(), 0, 0); len(remaining) != 0 {
 		t.Errorf("%d invisible versions survived the full cycle", len(remaining))
 	}
 }

@@ -331,3 +331,37 @@ if {[incr n] == 1} {abort 2.1} elseif {$n == 2} {abort Opt}
 		}
 	}
 }
+
+// TestErrorTextIsNotARestart: a restart is a typed signal only. An
+// `error` command whose message reads like one — written out, or
+// re-raising the message of an `abort` that `catch` caught — fails the
+// task like any other error, with no restart.
+func TestErrorTextIsNotARestart(t *testing.T) {
+	for _, tc := range []struct{ name, script string }{
+		{"literal", `error {restart at resumed step "0"}`},
+		{"rethrown", "catch {abort Build} msg\nerror $msg"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tpl := map[string]string{
+				"Raise": "task Raise {A} {Out}\nstep {1 Build} {A} {Out} {bdsyn -o Out A} {ResumedStep 1}\n" + tc.script + "\n",
+			}
+			reg := obs.NewRegistry()
+			e := newEnv(t, 1, tpl, func(c *Config) {
+				c.Metrics = reg
+				c.MaxRestarts = 3
+			})
+			a := e.seed(t, "a.spec", oct.TypeBehavioral, oct.Text(logic.ShifterBehavior(2)))
+			_, err := e.mgr.RunTask(Invocation{
+				Task:    "Raise",
+				Inputs:  map[string]oct.Ref{"A": a},
+				Outputs: map[string]string{"Out": "out"},
+			})
+			if err == nil || !strings.Contains(err.Error(), "restart at resumed step") {
+				t.Fatalf("RunTask err = %v, want the error command's failure", err)
+			}
+			if got := reg.Counter("task.run.restart"); got != 0 {
+				t.Errorf("task.run.restart = %d, want 0 (error text is not a restart)", got)
+			}
+		})
+	}
+}

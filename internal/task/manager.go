@@ -33,9 +33,9 @@
 package task
 
 import (
+	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"papyrus/internal/attr"
@@ -579,42 +579,13 @@ func (r *run) handleRestart(err error) (int, bool) {
 	return j + 1, true
 }
 
+// extractRestart finds the typed restart signal in err's chain. A
+// restart is never recovered from message text: an error command that
+// re-raises a caught restart's message fails the task like any error.
 func extractRestart(err error) (restartReq, bool) {
-	for err != nil {
-		if req, ok := err.(restartReq); ok {
-			return req, true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			// Restart signals may be flattened into message text by the
-			// Tcl layer (e.g. raised inside a control construct).
-			if req, ok2 := parseRestartText(err.Error()); ok2 {
-				return req, true
-			}
-			return restartReq{}, false
-		}
-		err = u.Unwrap()
-	}
-	return restartReq{}, false
-}
-
-// parseRestartText recovers a restart signal that crossed the Tcl
-// boundary as a plain error string.
-func parseRestartText(msg string) (restartReq, bool) {
-	const marker = "restart at resumed step "
-	i := strings.Index(msg, marker)
-	if i < 0 {
-		return restartReq{}, false
-	}
-	rest := msg[i+len(marker):]
-	if len(rest) < 2 || rest[0] != '"' {
-		return restartReq{}, false
-	}
-	end := strings.IndexByte(rest[1:], '"')
-	if end < 0 {
-		return restartReq{}, false
-	}
-	return restartReq{resumedStepID: rest[1 : 1+end], cause: "recovered"}, true
+	var req restartReq
+	ok := errors.As(err, &req)
+	return req, ok
 }
 
 // undoAfter removes side effects of commands with internal ID > j:

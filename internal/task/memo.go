@@ -150,14 +150,14 @@ func (r *run) materializeHit(p *pending, e *memo.Entry) ([]*oct.Object, int64, b
 // success path calls it, so a crashed, faulted, retried-and-still-dirty,
 // or aborted attempt can never install an entry; a crash between the
 // commit and this call merely loses the entry, which recovery rebuilds
-// from history (Cache.WarmStep). Steps that staged hides or wrote outside
-// their declared output set are not memoizable and are skipped.
-func (r *run) populateMemo(p *pending, ex *stepExec, createdRefs []oct.Ref, logText string) {
+// from history (Cache.WarmStep). Steps that wrote outside their declared
+// output set are not memoizable and are skipped.
+func (r *run) populateMemo(p *pending, createdRefs []oct.Ref, logText string) {
 	cache := r.m.cfg.Memo
 	if cache == nil || p.memoKey == "" {
 		return
 	}
-	if ex.ctx.Txn.HideCount() > 0 || len(createdRefs) != len(p.outputs) || len(createdRefs) == 0 {
+	if len(createdRefs) != len(p.outputs) || len(createdRefs) == 0 {
 		return
 	}
 	declared := make(map[string]bool, len(p.outputs))

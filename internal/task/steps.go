@@ -489,7 +489,7 @@ func (r *run) apply(ex *stepExec) error {
 	if exit == 0 {
 		// Clean completion: commit applied, no crash, no fault, no tool
 		// error. Only now may the step's result enter the cache.
-		r.populateMemo(p, ex, stepRec.Outputs, logText)
+		r.populateMemo(p, stepRec.Outputs, logText)
 		r.m.cfg.Metrics.Inc("task.step.complete")
 	} else {
 		r.m.cfg.Metrics.Inc("task.step.fail")

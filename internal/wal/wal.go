@@ -13,6 +13,12 @@
 // appends control-stream and thread-lifecycle records, and recovery
 // replays the tail over the last snapshot (docs/DURABILITY.md).
 //
+// Each job has one entry point. Append writes a frame; Commit (once per
+// acknowledged operation), Checkpoint and Close are the only flushes;
+// Prune deletes covered segments. Scan decodes one segment's valid
+// prefix (Open and Replay use it); Replay is the recovery reader, and
+// core.Recover its one caller that rebuilds state.
+//
 // Frame format (little-endian):
 //
 //	[4] payload length N
@@ -53,8 +59,9 @@ type RecordType uint8
 // log itself treats them as opaque bytes.
 const (
 	// RecOCTCommit is one committed version batch of the object store:
-	// a transaction commit, a direct Put, a visibility change, or a
-	// physical Remove (internal/oct).
+	// a transaction commit (a direct Put is a one-write transaction) or
+	// a Hide's visibility change (internal/oct). Physical deletion is
+	// RecReclaim.
 	RecOCTCommit RecordType = 1
 	// RecHistoryAppend is one control-stream record attach
 	// (internal/activity over internal/history).
@@ -150,7 +157,7 @@ type Options struct {
 	// far. A larger value is a group-commit interval in virtual ticks:
 	// an append waits for an fsync once at least this many ticks passed
 	// since the last one, and Commit is a no-op. Rotation, Checkpoint,
-	// Sync, and Close always fsync regardless. Concurrent committers
+	// and Close always fsync regardless. Concurrent committers
 	// share fsyncs: one becomes the flush leader while the others ride
 	// its fsync if it covers their bytes, so N parallel strict commits
 	// cost far fewer than N disk flushes.
@@ -336,15 +343,6 @@ func (l *Log) SetTracer(tr *obs.Tracer) {
 	l.mu.Unlock()
 }
 
-// SegmentCount returns the number of segment files currently on disk.
-func (l *Log) SegmentCount() int {
-	seqs, err := segments(l.opts.Dir)
-	if err != nil {
-		return 0
-	}
-	return len(seqs)
-}
-
 // Append writes one record, rotating the segment when full. It returns
 // once the frame is in the OS file (crash-of-process safe) and in log
 // order: appends from parallel sessions serialize on the log mutex. Under
@@ -489,7 +487,7 @@ func (l *Log) commitLocked(end, now int64) error {
 // flushLocked fsyncs everything appended so far, waiting out any
 // in-flight group-commit flush first. Unlike commitLocked it keeps l.mu
 // held across the fsync, so the caller observes a fully quiesced log
-// afterwards — rotation, checkpoint, Sync, and Close use it. Callers
+// afterwards — rotation, checkpoint, and Close use it. Callers
 // hold l.mu.
 func (l *Log) flushLocked(now int64) error {
 	for l.syncing {
@@ -555,16 +553,6 @@ func (l *Log) rotateLocked() error {
 	l.size, l.filled = 0, 0
 	l.rotations++
 	return nil
-}
-
-// Sync forces an fsync of any unsynced appends.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	return l.flushLocked(l.now())
 }
 
 // Checkpoint rotates to a fresh segment, writes the checkpoint record as

@@ -13,6 +13,7 @@ package papyrus
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,6 +29,26 @@ import (
 	"papyrus/internal/wal"
 	"papyrus/internal/workload"
 )
+
+// recoverStore rebuilds a store alone from a store snapshot (nil for
+// none) plus the WAL tail in walDir, through the primitives core.Recover
+// composes: Restore, then wal.Replay over ReplayWALRecord.
+func recoverStore(snapshot io.Reader, walDir string) (*oct.Store, wal.ReplayStats, error) {
+	s := oct.NewStore()
+	if snapshot != nil {
+		if err := s.Restore(snapshot); err != nil {
+			return nil, wal.ReplayStats{}, err
+		}
+	}
+	stats, err := wal.Replay(walDir, func(r wal.Record) error {
+		_, err := s.ReplayWALRecord(r)
+		return err
+	})
+	if err != nil {
+		return nil, stats, err
+	}
+	return s, stats, nil
+}
 
 // recoveryPlan is the full E10 combination: a node crash, transient step
 // failures, and migration stalls, all while every commit is logged.
@@ -198,7 +219,7 @@ func TestRecoveryMatrixKillAtEveryByte(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "wal-00000001.log"), data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, stats, err := oct.Recover(nil, dir, nil)
+		s, stats, err := recoverStore(nil, dir)
 		if err != nil {
 			t.Fatalf("cut %d: recovery failed: %v", cut, err)
 		}
@@ -217,7 +238,7 @@ func TestRecoveryMatrixKillAtEveryByte(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "wal-00000001.log"), tailed, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		zs, zstats, err := oct.Recover(nil, dir, nil)
+		zs, zstats, err := recoverStore(nil, dir)
 		if err != nil {
 			t.Fatalf("cut %d + zero tail: recovery failed: %v", cut, err)
 		}
@@ -309,7 +330,7 @@ func TestRecoveryMatrixWithReclaim(t *testing.T) {
 			t.Fatal(err)
 		}
 		prefix, _, _ := wal.Scan(data[:cut])
-		s, _, err := oct.Recover(nil, dir, nil)
+		s, _, err := recoverStore(nil, dir)
 		if err != nil {
 			t.Fatalf("cut %d: recovery failed: %v", cut, err)
 		}
@@ -390,7 +411,7 @@ func TestSnapshotPlusWALMatchesMemory(t *testing.T) {
 			if err := base.Snapshot(&snap); err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := oct.Recover(&snap, walDir, nil)
+			got, _, err := recoverStore(&snap, walDir)
 			if err != nil {
 				t.Fatalf("workers=%d k=%d: recovery failed: %v", workers, k, err)
 			}
