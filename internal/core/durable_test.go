@@ -667,3 +667,38 @@ func TestRecoveryMatrixRebuild(t *testing.T) {
 	}
 	t.Logf("recovered %d cuts (%d bytes)", len(ends), len(data))
 }
+
+// TestWALBytesRepeatable: the same session writes the same log bytes on
+// every run. Structure_Synthesis discards three intermediates at commit;
+// each hide is a log record and takes a store clock tick, so the hides
+// must run in a fixed order, not in map iteration order.
+func TestWALBytesRepeatable(t *testing.T) {
+	var first []byte
+	for run := 0; run < 8; run++ {
+		dir := t.TempDir()
+		s := newSystem(t, Config{Nodes: 2, Durability: &DurabilityConfig{Dir: dir}})
+		if _, err := s.ImportObject("/spec", oct.TypeBehavioral, oct.Text(logic.ShifterBehavior(4))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ImportObject("/cmd", oct.TypeText, oct.Text("sim\n")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Invoke(s.NewThread("t", "d"), "Structure_Synthesis",
+			map[string]string{"Incell": "/spec", "Musa_Command": "/cmd"},
+			map[string]string{"Outcell": "out.cell", "Cell_Statistics": "out.stats"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "wal-00000001.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = data
+		} else if !bytes.Equal(data, first) {
+			t.Fatalf("run %d wrote %d log bytes that differ from run 0's %d", run, len(data), len(first))
+		}
+	}
+}

@@ -451,7 +451,14 @@ func (r *run) execute() (*history.Record, error) {
 	}
 
 	// Commit: discard intermediates (§4.3.5) and build the history record.
+	// Each hide is a log record and a store clock tick, so hide in name
+	// order: the log bytes and access stamps must not depend on map order.
+	discard := make([]string, 0, len(r.intermediates))
 	for phys := range r.intermediates {
+		discard = append(discard, phys)
+	}
+	sort.Strings(discard)
+	for _, phys := range discard {
 		if ref, ok := r.ready[phys]; ok {
 			_ = r.m.cfg.Store.Hide(ref)
 		}
